@@ -1,7 +1,5 @@
 #include "runtime/executor.hh"
 
-#include <cmath>
-
 #include "base/logging.hh"
 #include "base/units.hh"
 #include "model/sublayer.hh"
@@ -171,57 +169,6 @@ CooperativeExecutor::embed(const std::vector<std::int64_t> &flat_tokens,
     return hidden;
 }
 
-Tensor
-CooperativeExecutor::attention(const Tensor &q, const Tensor &keys,
-                               const Tensor &values, std::int64_t batch,
-                               std::int64_t tokens)
-{
-    const auto &cfg = weights_.config;
-    const std::int64_t dh = cfg.headDim;
-    const std::int64_t nh = cfg.numHeads;
-    const std::int64_t group = nh / cfg.kvHeads;
-    const std::int64_t len = keys.dim(1);
-    const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-
-    Tensor out({batch * tokens, cfg.dModel});
-    // Head-partitioned: each (batch, head) pair is self-contained and
-    // writes a disjoint column slice of the output, so any schedule
-    // produces identical bits. Kernels invoked inside run inline on
-    // the worker (nested parallelFor), keeping their serial order.
-    kernelOpts_.pool->parallelFor(
-        batch * nh, 1, [&](std::int64_t bh0, std::int64_t bh1) {
-        for (std::int64_t bh = bh0; bh < bh1; ++bh) {
-            const std::int64_t b = bh / nh;
-            const std::int64_t h = bh % nh;
-            const std::int64_t kvh = h / group;
-            // Slice this head's Q / K / V.
-            Tensor qh({tokens, dh});
-            for (std::int64_t t = 0; t < tokens; ++t)
-                for (std::int64_t c = 0; c < dh; ++c)
-                    qh.at(t, c) = q.at(b * tokens + t, h * dh + c);
-            Tensor kh({len, dh});
-            Tensor vh({len, dh});
-            for (std::int64_t i = 0; i < len; ++i) {
-                for (std::int64_t c = 0; c < dh; ++c) {
-                    kh.at(i, c) = keys.at(b, i, kvh * dh + c);
-                    vh.at(i, c) = values.at(b, i, kvh * dh + c);
-                }
-            }
-            // Sublayer 2: S = Q x K^T (scaled).
-            Tensor scores = matmulTransposed(qh, kh, kernelOpts_);
-            for (std::int64_t i = 0; i < scores.numel(); ++i)
-                scores.data()[i] *= scale;
-            causalSoftmaxRows(scores, len - tokens, kernelOpts_);
-            // Sublayer 3: softmax(S) x V.
-            Tensor ctx = matmul(scores, vh, Tensor(), kernelOpts_);
-            for (std::int64_t t = 0; t < tokens; ++t)
-                for (std::int64_t c = 0; c < dh; ++c)
-                    out.at(b * tokens + t, h * dh + c) = ctx.at(t, c);
-        }
-    });
-    return out;
-}
-
 void
 CooperativeExecutor::chargeSublayer(int index, Stage stage,
                                     std::int64_t batch,
@@ -312,10 +259,9 @@ CooperativeExecutor::forwardLayers(KvCache &cache, Tensor hidden,
                      v.reshaped({batch, tokens, cfg.kvDim()}));
         chargeSublayer(0, stage, batch, context, resident, policy);
 
-        // Sublayers 2+3: attention scoring against the cache.
-        Tensor keys = cache.keys(l);
-        Tensor values = cache.values(l);
-        Tensor attn = attention(q, keys, values, batch, tokens);
+        // Sublayers 2+3: attention scoring, reading the cache in place.
+        Tensor attn = cachedAttention(q, cache.view(l), cfg.numHeads,
+                                      tokens, kernelOpts_);
         chargeSublayer(1, stage, batch, context, resident, policy);
         chargeSublayer(2, stage, batch, context, resident, policy);
 

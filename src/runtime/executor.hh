@@ -213,11 +213,6 @@ class CooperativeExecutor
                         std::int64_t batch, std::int64_t context,
                         bool resident, const core::Policy &policy);
 
-    /** Multi-head attention against the cache. */
-    Tensor attention(const Tensor &q, const Tensor &keys,
-                     const Tensor &values, std::int64_t batch,
-                     std::int64_t tokens);
-
     hw::SystemConfig system_;
     TransformerWeights weights_;
     ExecutorConfig config_;

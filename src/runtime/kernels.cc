@@ -13,6 +13,7 @@
 
 #include "base/logging.hh"
 #include "runtime/bf16.hh"
+#include "runtime/kv_cache.hh"
 
 namespace lia {
 namespace runtime {
@@ -891,6 +892,150 @@ causalSoftmaxRows(Tensor &t, std::int64_t offset,
         }
     });
     maybeRound(t, opts);
+}
+
+namespace {
+
+/**
+ * out[i] = q . k_i for the @p n key rows k_i = k + i * stride, each a
+ * single chain c-ascending from 0.0f — matmulTransposed's per-element
+ * order. Four rows run side by side so their independent chains
+ * overlap in the pipeline instead of each waiting out its own add
+ * latency.
+ */
+void
+dotRows(const float *q, const float *k, std::int64_t stride,
+        std::int64_t n, std::int64_t dh, float *out)
+{
+    std::int64_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const float *k0 = k + i * stride;
+        const float *k1 = k0 + stride;
+        const float *k2 = k1 + stride;
+        const float *k3 = k2 + stride;
+        float a0 = 0.0f, a1 = 0.0f, a2 = 0.0f, a3 = 0.0f;
+        for (std::int64_t c = 0; c < dh; ++c) {
+            a0 += q[c] * k0[c];
+            a1 += q[c] * k1[c];
+            a2 += q[c] * k2[c];
+            a3 += q[c] * k3[c];
+        }
+        out[i] = a0;
+        out[i + 1] = a1;
+        out[i + 2] = a2;
+        out[i + 3] = a3;
+    }
+    for (; i < n; ++i) {
+        const float *kr = k + i * stride;
+        float acc = 0.0f;
+        for (std::int64_t c = 0; c < dh; ++c)
+            acc += q[c] * kr[c];
+        out[i] = acc;
+    }
+}
+
+/**
+ * o[c] += p[i] * v_i[c] for the @p n value rows v_i = v + i * stride,
+ * positions ascending for every element — matmul's per-element order.
+ * Four positions are applied per pass over @p o, so each element stays
+ * in a register across them rather than round-tripping memory.
+ */
+void
+accumulateRows(const float *p, const float *v, std::int64_t stride,
+               std::int64_t n, std::int64_t dh, float *o)
+{
+    std::int64_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const float *v0 = v + i * stride;
+        const float *v1 = v0 + stride;
+        const float *v2 = v1 + stride;
+        const float *v3 = v2 + stride;
+        const float p0 = p[i], p1 = p[i + 1], p2 = p[i + 2],
+                    p3 = p[i + 3];
+        for (std::int64_t c = 0; c < dh; ++c) {
+            float x = o[c];
+            x += p0 * v0[c];
+            x += p1 * v1[c];
+            x += p2 * v2[c];
+            x += p3 * v3[c];
+            o[c] = x;
+        }
+    }
+    for (; i < n; ++i) {
+        const float *vr = v + i * stride;
+        for (std::int64_t c = 0; c < dh; ++c)
+            o[c] += p[i] * vr[c];
+    }
+}
+
+} // namespace
+
+Tensor
+cachedAttention(const Tensor &q, const KvView &kv,
+                std::int64_t num_heads, std::int64_t tokens,
+                const KernelOptions &opts)
+{
+    obs::KernelProfiler::Scope profile(opts.profiler, "attention");
+    LIA_ASSERT(q.ndim() == 2 && num_heads > 0 && tokens > 0,
+               "attention wants 2-D queries");
+    LIA_ASSERT(q.dim(0) == kv.batch * tokens,
+               "attention query rows ", q.dim(0), " != batch ",
+               kv.batch, " x tokens ", tokens);
+    LIA_ASSERT(q.dim(1) % num_heads == 0, "query width not per-head");
+    const std::int64_t width = q.dim(1);
+    const std::int64_t dh = width / num_heads;
+    LIA_ASSERT(kv.kvDim % dh == 0 && kv.kvDim > 0 &&
+                   num_heads % (kv.kvDim / dh) == 0,
+               "KV heads must evenly serve the query heads");
+    const std::int64_t group = num_heads / (kv.kvDim / dh);
+    const std::int64_t len = kv.length;
+    LIA_ASSERT(len >= tokens, "attention over ", len,
+               " cached tokens for ", tokens, " new ones");
+    const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+
+    Tensor out({kv.batch * tokens, width});
+    const float *pq = q.data();
+    float *po = out.data();
+    // Head-partitioned: each (batch, head) pair is self-contained and
+    // writes a disjoint column slice of the output, so any schedule
+    // produces identical bits. The softmax call inside runs inline on
+    // the worker (nested parallelFor), keeping its serial order.
+    parallelRun(opts, kv.batch * num_heads, 1,
+                [&](std::int64_t bh0, std::int64_t bh1) {
+        Tensor scores({tokens, len});
+        float *ps = scores.data();
+        for (std::int64_t bh = bh0; bh < bh1; ++bh) {
+            const std::int64_t b = bh / num_heads;
+            const std::int64_t h = bh % num_heads;
+            const std::int64_t col = (h / group) * dh;
+            const float *kb = kv.keys + b * kv.batchStride + col;
+            const float *vb = kv.values + b * kv.batchStride + col;
+            // Sublayer 2: S = Q x K^T, rounded, then scaled.
+            for (std::int64_t t = 0; t < tokens; ++t) {
+                float *srow = ps + t * len;
+                dotRows(pq + (b * tokens + t) * width + h * dh, kb,
+                        kv.kvDim, len, dh, srow);
+                for (std::int64_t i = 0; i < len; ++i) {
+                    const float x = opts.bf16Rounding
+                                        ? roundToBf16(srow[i])
+                                        : srow[i];
+                    srow[i] = x * scale;
+                }
+            }
+            causalSoftmaxRows(scores, len - tokens, opts);
+            // Sublayer 3: softmax(S) x V into this head's output
+            // columns (zero-initialised), positions ascending.
+            for (std::int64_t t = 0; t < tokens; ++t) {
+                float *orow = po + (b * tokens + t) * width + h * dh;
+                accumulateRows(ps + t * len, vb, kv.kvDim, len, dh, orow);
+                if (opts.bf16Rounding) {
+                    for (std::int64_t c = 0; c < dh; ++c)
+                        orow[c] = roundToBf16(orow[c]);
+                }
+            }
+        }
+    });
+    return out;
 }
 
 Tensor

@@ -32,6 +32,8 @@ class KernelProfiler;
 
 namespace runtime {
 
+struct KvView;
+
 /** Kernel numeric and execution options. */
 struct KernelOptions
 {
@@ -199,6 +201,29 @@ void softmaxRows(Tensor &t, const KernelOptions &opts = {});
  * 0..(offset + i); later columns receive zero probability.
  */
 void causalSoftmaxRows(Tensor &t, std::int64_t offset,
+                       const KernelOptions &opts = {});
+
+/**
+ * Multi-head causal attention of @p tokens new positions per sequence
+ * against one layer's cached K/V, read in place through @p kv.
+ *
+ * @param q          (B * tokens, numHeads * headDim) queries
+ * @param kv         the layer's view; its length counts the @p tokens
+ *                   positions appended this step (the last ones)
+ * @param num_heads  query heads; kv.kvDim / headDim KV heads serve
+ *                   them in equal groups (GQA)
+ *
+ * Returns the (B * tokens, numHeads * headDim) context. Per (batch,
+ * head) it performs exactly the operations of the composed kernels it
+ * replaces — matmulTransposed of Q against the head's K (dot products
+ * c-ascending from 0.0f, BF16-rounded), the 1/sqrt(headDim) scale,
+ * causalSoftmaxRows at offset kv.length - tokens, then matmul of the
+ * probabilities against V (positions ascending from 0.0f, BF16-
+ * rounded) — so its result is bit-identical to that composition at
+ * any thread count. Heads are the parallel unit.
+ */
+Tensor cachedAttention(const Tensor &q, const KvView &kv,
+                       std::int64_t num_heads, std::int64_t tokens,
                        const KernelOptions &opts = {});
 
 /** LayerNorm over the last axis with learned gain/bias (both (n)). */

@@ -22,6 +22,35 @@ spanBf16Bytes(std::int64_t batch, std::int64_t length, std::int64_t kv,
            static_cast<double>(layers);
 }
 
+/**
+ * Copy @p tokens token rows of every batch row from @p src (starting
+ * at token @p src_start) into @p dst (at token @p dst_start). Both are
+ * (B, len, kvDim) with their own len; each batch row's run of tokens
+ * is contiguous, so it moves as one memcpy.
+ */
+void
+copyTokens(const Tensor &src, std::int64_t src_start, Tensor &dst,
+           std::int64_t dst_start, std::int64_t tokens)
+{
+    LIA_ASSERT(src.ndim() == 3 && dst.ndim() == 3, "KV must be 3-D");
+    const std::int64_t batch = src.dim(0);
+    const std::int64_t kv = src.dim(2);
+    const std::int64_t src_len = src.dim(1);
+    const std::int64_t dst_len = dst.dim(1);
+    LIA_ASSERT(dst.dim(0) == batch && dst.dim(2) == kv,
+               "KV copy geometry mismatch");
+    LIA_ASSERT(tokens >= 0 && src_start >= 0 && dst_start >= 0 &&
+                   src_start + tokens <= src_len &&
+                   dst_start + tokens <= dst_len,
+               "KV copy of ", tokens, " tokens out of range");
+    const auto bytes = static_cast<std::size_t>(tokens * kv) *
+                       sizeof(float);
+    for (std::int64_t b = 0; b < batch; ++b) {
+        std::memcpy(dst.data() + (b * dst_len + dst_start) * kv,
+                    src.data() + (b * src_len + src_start) * kv, bytes);
+    }
+}
+
 } // namespace
 
 bool
@@ -59,21 +88,10 @@ KvSnapshot::splitHead(std::int64_t tokens)
         Tensor hv({batch, tokens, kv});
         Tensor tk({batch, tail, kv});
         Tensor tv({batch, tail, kv});
-        for (std::int64_t b = 0; b < batch; ++b) {
-            for (std::int64_t i = 0; i < length; ++i) {
-                for (std::int64_t c = 0; c < kv; ++c) {
-                    const float kx = keys[l].at(b, i, c);
-                    const float vx = values[l].at(b, i, c);
-                    if (i < tokens) {
-                        hk.at(b, i, c) = kx;
-                        hv.at(b, i, c) = vx;
-                    } else {
-                        tk.at(b, i - tokens, c) = kx;
-                        tv.at(b, i - tokens, c) = vx;
-                    }
-                }
-            }
-        }
+        copyTokens(keys[l], 0, hk, 0, tokens);
+        copyTokens(values[l], 0, hv, 0, tokens);
+        copyTokens(keys[l], tokens, tk, 0, tail);
+        copyTokens(values[l], tokens, tv, 0, tail);
         head.keys.push_back(std::move(hk));
         head.values.push_back(std::move(hv));
         tailKeys.push_back(std::move(tk));
@@ -106,14 +124,8 @@ KvSnapshot::headCopy(std::int64_t tokens) const
     for (std::size_t l = 0; l < keys.size(); ++l) {
         Tensor hk({batch, tokens, kv});
         Tensor hv({batch, tokens, kv});
-        for (std::int64_t b = 0; b < batch; ++b) {
-            for (std::int64_t i = 0; i < tokens; ++i) {
-                for (std::int64_t c = 0; c < kv; ++c) {
-                    hk.at(b, i, c) = keys[l].at(b, i, c);
-                    hv.at(b, i, c) = values[l].at(b, i, c);
-                }
-            }
-        }
+        copyTokens(keys[l], 0, hk, 0, tokens);
+        copyTokens(values[l], 0, hv, 0, tokens);
         head.keys.push_back(std::move(hk));
         head.values.push_back(std::move(hv));
     }
@@ -154,16 +166,9 @@ KvCache::append(std::int64_t layer, const Tensor &k, const Tensor &v)
     LIA_ASSERT(t == pendingTokens_,
                "inconsistent token count across layers");
 
-    Tensor &kd = keys_[static_cast<std::size_t>(layer)];
-    Tensor &vd = values_[static_cast<std::size_t>(layer)];
-    for (std::int64_t b = 0; b < batch_; ++b) {
-        for (std::int64_t i = 0; i < t; ++i) {
-            for (std::int64_t c = 0; c < config_.kvDim(); ++c) {
-                kd.at(b, length_ + i, c) = k.at(b, i, c);
-                vd.at(b, length_ + i, c) = v.at(b, i, c);
-            }
-        }
-    }
+    copyTokens(k, 0, keys_[static_cast<std::size_t>(layer)], length_, t);
+    copyTokens(v, 0, values_[static_cast<std::size_t>(layer)], length_,
+               t);
 
     ++nextLayer_;
     if (nextLayer_ == config_.numLayers) {
@@ -173,18 +178,24 @@ KvCache::append(std::int64_t layer, const Tensor &k, const Tensor &v)
     }
 }
 
+KvView
+KvCache::view(std::int64_t layer) const
+{
+    LIA_ASSERT(layer >= 0 && layer < config_.numLayers, "bad layer");
+    const auto l = static_cast<std::size_t>(layer);
+    return KvView{keys_[l].data(), values_[l].data(), batch_,
+                  liveLength(), config_.kvDim(),
+                  maxLen_ * config_.kvDim()};
+}
+
 Tensor
 KvCache::sliceCurrent(const Tensor &full) const
 {
     // Include tokens appended mid-step so earlier layers' reads during
     // the same step see their freshly appended KV.
-    const std::int64_t len =
-        length_ + (nextLayer_ > 0 ? pendingTokens_ : 0);
+    const std::int64_t len = liveLength();
     Tensor out({batch_, len, config_.kvDim()});
-    for (std::int64_t b = 0; b < batch_; ++b)
-        for (std::int64_t i = 0; i < len; ++i)
-            for (std::int64_t c = 0; c < config_.kvDim(); ++c)
-                out.at(b, i, c) = full.at(b, i, c);
+    copyTokens(full, 0, out, 0, len);
     return out;
 }
 
@@ -260,14 +271,8 @@ KvCache::snapshotRange(std::int64_t start, std::int64_t end) const
     for (std::size_t l = 0; l < keys_.size(); ++l) {
         Tensor k({batch_, t, kv});
         Tensor v({batch_, t, kv});
-        for (std::int64_t b = 0; b < batch_; ++b) {
-            for (std::int64_t i = 0; i < t; ++i) {
-                for (std::int64_t c = 0; c < kv; ++c) {
-                    k.at(b, i, c) = keys_[l].at(b, start + i, c);
-                    v.at(b, i, c) = values_[l].at(b, start + i, c);
-                }
-            }
-        }
+        copyTokens(keys_[l], start, k, 0, t);
+        copyTokens(values_[l], start, v, 0, t);
         span.keys.push_back(std::move(k));
         span.values.push_back(std::move(v));
     }
@@ -293,16 +298,8 @@ KvCache::preload(const KvSnapshot &span)
     }
 
     for (std::size_t l = 0; l < keys_.size(); ++l) {
-        for (std::int64_t b = 0; b < batch_; ++b) {
-            for (std::int64_t i = 0; i < span.length; ++i) {
-                for (std::int64_t c = 0; c < config_.kvDim(); ++c) {
-                    keys_[l].at(b, length_ + i, c) =
-                        span.keys[l].at(b, i, c);
-                    values_[l].at(b, length_ + i, c) =
-                        span.values[l].at(b, i, c);
-                }
-            }
-        }
+        copyTokens(span.keys[l], 0, keys_[l], length_, span.length);
+        copyTokens(span.values[l], 0, values_[l], length_, span.length);
     }
     length_ += span.length;
     return true;
@@ -352,20 +349,29 @@ mixFloat(std::uint64_t hash, float value)
     return hash;
 }
 
+/** Fold one per-token digest into a running position-ordered hash. */
+std::uint64_t
+foldDigest(std::uint64_t hash, std::uint64_t digest)
+{
+    for (int shift = 0; shift < 64; shift += 8) {
+        hash ^= (digest >> shift) & 0xffu;
+        hash *= kFnvPrime;
+    }
+    return hash;
+}
+
 } // namespace
 
-std::uint64_t
-KvCache::fingerprint(std::int64_t tokens, base::ThreadPool *pool) const
+std::vector<std::uint64_t>
+KvCache::tokenDigests(std::int64_t len, base::ThreadPool *pool) const
 {
-    const std::int64_t len =
-        tokens < 0 ? length_ : std::min(tokens, length_);
     const std::int64_t kv = config_.kvDim();
     if (pool == nullptr)
         pool = &base::ThreadPool::shared();
 
-    // Per-token FNV-1a digests computed in parallel, then folded in
-    // position order: the combination is a pure function of the
-    // stored bits, so two caches holding bit-identical KV for the
+    // Per-token FNV-1a digests computed in parallel; callers fold them
+    // in position order, so the combination is a pure function of the
+    // stored bits and two caches holding bit-identical KV for the
     // prefix fingerprint identically at any thread count.
     std::vector<std::uint64_t> perToken(static_cast<std::size_t>(len));
     pool->parallelFor(
@@ -391,16 +397,39 @@ KvCache::fingerprint(std::int64_t tokens, base::ThreadPool *pool) const
                 perToken[static_cast<std::size_t>(i)] = hash;
             }
         });
+    return perToken;
+}
 
+std::uint64_t
+KvCache::fingerprint(std::int64_t tokens, base::ThreadPool *pool) const
+{
+    const std::int64_t len =
+        tokens < 0 ? length_ : std::min(tokens, length_);
     std::uint64_t hash = kFnvOffset;
-    for (std::int64_t i = 0; i < len; ++i) {
-        std::uint64_t digest = perToken[static_cast<std::size_t>(i)];
-        for (int shift = 0; shift < 64; shift += 8) {
-            hash ^= (digest >> shift) & 0xffu;
-            hash *= kFnvPrime;
-        }
-    }
+    for (std::uint64_t digest : tokenDigests(len, pool))
+        hash = foldDigest(hash, digest);
     return hash;
+}
+
+std::vector<std::uint64_t>
+KvCache::prefixFingerprints(std::int64_t block, std::int64_t end,
+                            base::ThreadPool *pool) const
+{
+    LIA_ASSERT(block > 0, "prefix fingerprint block ", block);
+    LIA_ASSERT(end >= 0 && end <= length_, "prefix fingerprints to ",
+               end, " of ", length_, " tokens");
+    const std::int64_t boundaries = end / block;
+    const std::vector<std::uint64_t> perToken =
+        tokenDigests(boundaries * block, pool);
+    std::vector<std::uint64_t> out;
+    out.reserve(static_cast<std::size_t>(boundaries));
+    std::uint64_t hash = kFnvOffset;
+    for (std::size_t i = 0; i < perToken.size(); ++i) {
+        hash = foldDigest(hash, perToken[i]);
+        if ((static_cast<std::int64_t>(i) + 1) % block == 0)
+            out.push_back(hash);
+    }
+    return out;
 }
 
 double

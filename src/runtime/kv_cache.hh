@@ -66,6 +66,23 @@ struct KvSnapshot
     KvSnapshot headCopy(std::int64_t tokens) const;
 };
 
+/**
+ * Read-only window onto one layer's live K/V inside a KvCache: base
+ * pointers into the cache's own storage, no copy. Token i of batch
+ * row b sits at keys/values + b * batchStride + i * kvDim. The
+ * pointers stay valid until the cache is evicted, restored or
+ * destroyed; length is the live length at the time of the call.
+ */
+struct KvView
+{
+    const float *keys = nullptr;
+    const float *values = nullptr;
+    std::int64_t batch = 0;
+    std::int64_t length = 0;       //!< live tokens, pending included
+    std::int64_t kvDim = 0;
+    std::int64_t batchStride = 0;  //!< floats per batch row (maxLen * kvDim)
+};
+
 /** Growing K/V storage for all layers of one batch. */
 class KvCache
 {
@@ -84,6 +101,14 @@ class KvCache
     std::int64_t length() const { return length_; }
 
     std::int64_t batch() const { return batch_; }
+
+    /**
+     * In-place view of layer @p layer's live K/V. Mid-step (some
+     * layers appended) the length includes this step's pending tokens,
+     * exactly as keys()/values() count them, so a layer's attention
+     * run right after its append sees its fresh KV.
+     */
+    KvView view(std::int64_t layer) const;
 
     /** Copy of layer @p layer's keys: (B, length, kvDim). */
     Tensor keys(std::int64_t layer) const;
@@ -148,8 +173,28 @@ class KvCache
     std::uint64_t fingerprint(std::int64_t tokens = -1,
                               base::ThreadPool *pool = nullptr) const;
 
+    /**
+     * fingerprint(n) at every block boundary n = @p block, 2 * @p
+     * block, ... <= @p end, in one pass: each token is hashed once and
+     * the position-ordered fold is recorded as it crosses a boundary.
+     * Element k equals fingerprint((k + 1) * block, pool).
+     */
+    std::vector<std::uint64_t>
+    prefixFingerprints(std::int64_t block, std::int64_t end,
+                       base::ThreadPool *pool = nullptr) const;
+
   private:
+    /** Stored length plus this step's pending tokens mid-step. */
+    std::int64_t liveLength() const
+    {
+        return length_ + (nextLayer_ > 0 ? pendingTokens_ : 0);
+    }
+
     Tensor sliceCurrent(const Tensor &full) const;
+
+    /** Per-token FNV-1a digests of tokens [0, @p len), in parallel. */
+    std::vector<std::uint64_t>
+    tokenDigests(std::int64_t len, base::ThreadPool *pool) const;
 
     model::ModelConfig config_;
     std::int64_t batch_;

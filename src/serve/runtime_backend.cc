@@ -156,11 +156,18 @@ RuntimeBackend::applyPrefixOps(const IterationPlan &plan)
             payload.tokens = op.tokens;
             payload.span = pass.snapshotRange(
                 op.startToken, op.startToken + op.tokens);
-            payload.blockDigests.reserve(
-                static_cast<std::size_t>(op.tokens / block));
-            for (std::int64_t k = 1; k <= op.tokens / block; ++k)
-                payload.blockDigests.push_back(pass.fingerprint(
-                    op.startToken + k * block, kernelPool_.get()));
+            // Nodes start on block boundaries, so the pass's digests
+            // past startToken are exactly this node's.
+            LIA_ASSERT(op.startToken % block == 0,
+                       "prefix insert starts mid-block at ",
+                       op.startToken);
+            const std::vector<std::uint64_t> digests =
+                pass.prefixFingerprints(block, op.startToken + op.tokens,
+                                        kernelPool_.get());
+            payload.blockDigests.assign(
+                digests.begin() +
+                    static_cast<std::ptrdiff_t>(op.startToken / block),
+                digests.end());
             cacheDdrBytes_ += payload.span.bytes;
             nodes_.emplace(op.node, std::move(payload));
             ++counters_.prefixInserts;

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "base/logging.hh"
+#include "base/thread_pool.hh"
 #include "runtime/kv_cache.hh"
 
 namespace {
@@ -206,6 +208,28 @@ TEST_F(KvCacheTest, FingerprintIsPrefixConsistent)
     // full digests differ once contents diverge.
     EXPECT_EQ(cache.fingerprint(4), at4);
     EXPECT_NE(cache.fingerprint(), at4);
+}
+
+TEST_F(KvCacheTest, PrefixFingerprintsEqualFingerprintAtEveryBoundary)
+{
+    for (std::int64_t i = 0; i < 13; ++i)
+        appendAllLayers(1, 0.25f * static_cast<float>(i));
+    base::ThreadPool pool(2);
+    for (std::int64_t block : {1, 2, 3, 4, 5, 13, 14}) {
+        for (std::int64_t end = 0; end <= cache.length(); ++end) {
+            const std::vector<std::uint64_t> digests =
+                cache.prefixFingerprints(block, end, &pool);
+            ASSERT_EQ(static_cast<std::int64_t>(digests.size()),
+                      end / block);
+            for (std::size_t k = 0; k < digests.size(); ++k) {
+                const std::int64_t n =
+                    (static_cast<std::int64_t>(k) + 1) * block;
+                EXPECT_EQ(digests[k], cache.fingerprint(n))
+                    << "block " << block << " end " << end << " n "
+                    << n;
+            }
+        }
+    }
 }
 
 TEST_F(KvCacheTest, SnapshotRangeIsCompactAndPreloads)
