@@ -15,10 +15,17 @@
  *     grid changes numerics vs fp32 by design, but the int8 path
  *     itself is deterministic and reference-pinned).
  *  3. m = 1 decode GEMV: fp32-packed vs fused int8 dequant-GEMV
- *     tokens/s on weight-streaming shapes, with dispatch-latency
- *     stats from the pool's ParallelObserver hook. Hard asserts:
- *     int8 fused >= 1.5x fp32 tokens/s single-thread, and the
- *     low-latency multi-thread path never loses to single-thread.
+ *     tokens/s on weight-streaming shapes and on the smallest shape
+ *     the pool's work-size rule dispatches (2 x base::kMinChunkWork
+ *     MACs), with dispatch-latency stats from the pool's
+ *     ParallelObserver hook.
+ *
+ * Hard asserts: int8 fused >= 1.5x fp32 tokens/s single-thread on the
+ * large GEMV, and on every timed GEMM and GEMV shape and kernel, no
+ * multi-thread pool that fits the host's cores is slower than one
+ * thread — the bar base::kMinChunkWork is calibrated against. Every
+ * configuration is timed as the best of several short trials, so one
+ * slow stretch of a shared host cannot decide a comparison.
  *
  * Artifacts: BENCH_kernel_throughput.json holds only deterministic
  * facts (shapes, thread counts, bit-identity, packed byte counts,
@@ -31,8 +38,11 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <limits>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -65,10 +75,14 @@ const std::vector<Shape> kShapes = {
     {256, 1024, 1024, "prefill"},
 };
 
-/** The m = 1 section's weight-streaming shapes: the big one is the
- *  assert anchor (64 MB of fp32 weights vs 16 MB int8 — decode GEMV
- *  is memory-bound, which is exactly the int8 win). */
+/** The m = 1 section's shapes: the smallest GEMV the pool's
+ *  work-size rule dispatches (its tile partition holds exactly two
+ *  chunks of base::kMinChunkWork), and two weight-streaming ones. The
+ *  large one is the int8 assert anchor (64 MB of fp32 weights vs
+ *  16 MB int8 — decode GEMV is memory-bound, which is exactly the
+ *  int8 win). */
 const std::vector<Shape> kGemvShapes = {
+    {1, 256, 2 * base::kMinChunkWork / 256, "gemv threshold"},
     {1, 512, 2048, "gemv small"},
     {1, 2048, 8192, "gemv large"},
 };
@@ -127,6 +141,107 @@ struct DispatchStats : base::ParallelObserver
     }
 };
 
+/**
+ * Bring the host to the steady state the sweeps measure. A fresh
+ * process's first multi-thread dispatches run slow for about a second
+ * while the OS scheduler learns to spread its threads over cores: on a
+ * 4-vCPU host the first sweep of a run lost to one thread at every
+ * pool size while an identical sweep right after it won 2-3x. Half a
+ * second of dispatches on a host-wide pool precedes any timing.
+ */
+void
+warmUpHost(int threads)
+{
+    base::ThreadPool pool(threads);
+    Rng rng(1);
+    const Tensor a = Tensor::randomNormal({1, 512}, rng, 1.0);
+    const PackedMatrix b =
+        packColumns(Tensor::randomNormal({512, 2048}, rng, 1.0));
+    const KernelOptions opts{false, &pool};
+    const auto t0 = Clock::now();
+    while (std::chrono::duration<double>(Clock::now() - t0).count() < 0.5)
+        matmulPacked(a, b, Tensor(), opts);
+}
+
+/** One timed configuration of a thread-count sweep. */
+struct TimedConfig
+{
+    std::function<void()> run;
+    base::ThreadPool *pool = nullptr;  //!< observed for dispatches
+    DispatchStats stats;
+    double seconds = std::numeric_limits<double>::infinity();
+};
+
+/**
+ * Time every configuration of one sweep as the best of five trials,
+ * taken round-robin so that each trial of every configuration samples
+ * the same stretch of host time: a slow stretch of a shared host
+ * slows all of them alike instead of deciding a comparison, and the
+ * fastest trial of each is its kernel's speed. Each configuration
+ * runs for @p min_time in total.
+ */
+void
+timeInterleaved(std::vector<TimedConfig> &configs, double min_time = 0.15)
+{
+    constexpr int trials = 5;
+    for (TimedConfig &c : configs)
+        c.run();  // warm-up (and first-touch)
+    for (int trial = 0; trial < trials; ++trial) {
+        for (TimedConfig &c : configs) {
+            if (c.pool != nullptr)
+                c.pool->setObserver(&c.stats);
+            int reps = 0;
+            const auto t0 = Clock::now();
+            double elapsed = 0;
+            do {
+                c.run();
+                ++reps;
+                elapsed =
+                    std::chrono::duration<double>(Clock::now() - t0)
+                        .count();
+            } while (elapsed < min_time / trials);
+            if (c.pool != nullptr)
+                c.pool->setObserver(nullptr);
+            c.seconds = std::min(c.seconds, elapsed / reps);
+        }
+    }
+}
+
+/**
+ * The "more threads never lose" bar: per (shape, kernel), every pool
+ * of 2..hostCores threads must run at least as fast as one thread.
+ * Oversubscribed pools (more threads than cores) time-share cores,
+ * which measures the OS scheduler rather than our dispatch path, so
+ * they are timed and reported but not judged.
+ */
+struct NeverLoses
+{
+    int hostCores = 1;
+    std::map<std::string, double> single;  //!< one-thread throughput
+    std::vector<std::string> losses;
+    int judged = 0;                        //!< multi-thread configs
+
+    /**
+     * Record one configuration's throughput (higher is better); each
+     * @p what is timed at one thread before any multi-thread pool.
+     */
+    void judge(const std::string &what, int threads, double throughput)
+    {
+        if (threads == 1) {
+            single[what] = throughput;
+            return;
+        }
+        if (threads > hostCores)
+            return;
+        ++judged;
+        const double base = single.at(what);
+        if (throughput < base)
+            losses.push_back(what + " x" + std::to_string(threads) +
+                             ": " + fmtDouble(throughput / base, 3) +
+                             "x of one thread");
+    }
+};
+
 struct Point
 {
     Shape shape{};
@@ -171,6 +286,13 @@ main()
     const KernelOptions scalarOpts{false, nullptr};
     std::vector<Point> points;
     bool all_exact = true;
+    // Pools of up to this many threads run concurrently on the host;
+    // the never-loses bar ranges over them.
+    const int hw_cores = std::max(
+        1, static_cast<int>(std::thread::hardware_concurrency()));
+    NeverLoses bar;
+    bar.hostCores = hw_cores;
+    warmUpHost(hw_cores);
 
     // --- Section 1+2: GEMM sweeps, fp32 then int8 -------------------
     TextTable table({"shape", "kind", "config", "GFLOP/s", "speedup",
@@ -186,39 +308,57 @@ main()
                                  std::to_string(s.k) + "x" +
                                  std::to_string(s.n);
 
-        const Tensor ref = scalarMatmul(a, b, Tensor(), scalarOpts);
-        const double scalar_s = timeIt(
-            [&] { scalarMatmul(a, b, Tensor(), scalarOpts); });
-        Point base;
-        base.shape = s;
-        base.kernel = "fp32_packed";
-        base.gflops = flops / scalar_s / 1e9;
-        points.push_back(base);
-        table.addRow({dims, s.kind, "fp32 scalar",
-                      fmtDouble(base.gflops, 2), "1.00", "ref"});
+        // One kernel's sweep: the scalar reference's row, then every
+        // pool size timed round-robin against one another.
+        const auto sweep = [&](const char *kernel, const std::string &label,
+                               const Tensor &ref, double scalar_s,
+                               const auto &run) {
+            Point base;
+            base.shape = s;
+            base.kernel = kernel;
+            base.gflops = flops / scalar_s / 1e9;
+            points.push_back(base);
+            table.addRow({dims, s.kind, label + " scalar",
+                          fmtDouble(base.gflops, 2), "1.00", "ref"});
 
+            std::vector<std::unique_ptr<base::ThreadPool>> pools;
+            std::vector<TimedConfig> configs(kThreadCounts.size());
+            std::vector<Point> swept;
+            for (std::size_t i = 0; i < kThreadCounts.size(); ++i) {
+                pools.push_back(
+                    std::make_unique<base::ThreadPool>(kThreadCounts[i]));
+                const KernelOptions opts{false, pools.back().get()};
+                Point p;
+                p.shape = s;
+                p.kernel = kernel;
+                p.threads = kThreadCounts[i];
+                p.exact = bitIdentical(run(opts), ref);
+                all_exact = all_exact && p.exact;
+                swept.push_back(p);
+                configs[i].run = [&run, opts] { run(opts); };
+            }
+            timeInterleaved(configs);
+            for (std::size_t i = 0; i < swept.size(); ++i) {
+                Point &p = swept[i];
+                p.gflops = flops / configs[i].seconds / 1e9;
+                p.speedup = scalar_s / configs[i].seconds;
+                bar.judge(dims + " " + label, p.threads, p.gflops);
+                table.addRow({dims, s.kind,
+                              label + " x" + std::to_string(p.threads),
+                              fmtDouble(p.gflops, 2),
+                              fmtDouble(p.speedup, 2),
+                              p.exact ? "yes" : "NO"});
+                points.push_back(p);
+            }
+        };
+
+        const Tensor ref = scalarMatmul(a, b, Tensor(), scalarOpts);
         const PackedMatrix packed = packColumns(b);
-        for (const int threads : kThreadCounts) {
-            base::ThreadPool pool(threads);
-            const KernelOptions opts{false, &pool};
-            const Tensor out = matmulPacked(a, packed, Tensor(), opts);
-            Point p;
-            p.shape = s;
-            p.kernel = "fp32_packed";
-            p.threads = threads;
-            p.exact = bitIdentical(out, ref);
-            all_exact = all_exact && p.exact;
-            const double t = timeIt(
-                [&] { matmulPacked(a, packed, Tensor(), opts); });
-            p.gflops = flops / t / 1e9;
-            p.speedup = scalar_s / t;
-            table.addRow({dims, s.kind,
-                          "fp32 packed x" + std::to_string(threads),
-                          fmtDouble(p.gflops, 2),
-                          fmtDouble(p.speedup, 2),
-                          p.exact ? "yes" : "NO"});
-            points.push_back(p);
-        }
+        sweep("fp32_packed", "fp32 packed", ref,
+              timeIt([&] { scalarMatmul(a, b, Tensor(), scalarOpts); }),
+              [&](const KernelOptions &opts) {
+                  return matmulPacked(a, packed, Tensor(), opts);
+              });
 
         // Int8: same shape against the int8-packed operand, pinned to
         // the retained scalar int8 reference (not to fp32 — the
@@ -226,36 +366,12 @@ main()
         const PackedInt8Matrix packed8 = packColumnsInt8(b);
         const Tensor ref8 =
             scalarMatmulInt8(a, packed8, Tensor(), scalarOpts);
-        const double scalar8_s = timeIt(
-            [&] { scalarMatmulInt8(a, packed8, Tensor(), scalarOpts); });
-        Point base8;
-        base8.shape = s;
-        base8.kernel = "int8";
-        base8.gflops = flops / scalar8_s / 1e9;
-        points.push_back(base8);
-        table.addRow({dims, s.kind, "int8 scalar",
-                      fmtDouble(base8.gflops, 2), "1.00", "ref"});
-        for (const int threads : kThreadCounts) {
-            base::ThreadPool pool(threads);
-            const KernelOptions opts{false, &pool};
-            const Tensor out = matmulInt8(a, packed8, Tensor(), opts);
-            Point p;
-            p.shape = s;
-            p.kernel = "int8";
-            p.threads = threads;
-            p.exact = bitIdentical(out, ref8);
-            all_exact = all_exact && p.exact;
-            const double t = timeIt(
-                [&] { matmulInt8(a, packed8, Tensor(), opts); });
-            p.gflops = flops / t / 1e9;
-            p.speedup = scalar8_s / t;
-            table.addRow({dims, s.kind,
-                          "int8 x" + std::to_string(threads),
-                          fmtDouble(p.gflops, 2),
-                          fmtDouble(p.speedup, 2),
-                          p.exact ? "yes" : "NO"});
-            points.push_back(p);
-        }
+        sweep("int8", "int8", ref8, timeIt([&] {
+                  scalarMatmulInt8(a, packed8, Tensor(), scalarOpts);
+              }),
+              [&](const KernelOptions &opts) {
+                  return matmulInt8(a, packed8, Tensor(), opts);
+              });
         table.addSeparator();
     }
     table.print(std::cout);
@@ -275,16 +391,8 @@ main()
     std::vector<GemvPoint> gemv;
     std::vector<std::string> gemvFacts;
     bool gemv_exact = true;
-    // The multi-thread-never-loses assert only ranges over pools the
-    // host can actually run concurrently: on an h-core machine a pool
-    // of more than h threads time-shares cores, which measures the OS
-    // scheduler, not our dispatch path (oversubscribed configs are
-    // still timed and reported, just not asserted on).
-    const int hw_cores = std::max(
-        1, static_cast<int>(std::thread::hardware_concurrency()));
     double assert_int8_vs_fp32 = 0;   // large shape, single thread
     double assert_multi_vs_one = 0;   // large shape, int8 best multi
-    bool multi_in_budget = false;     // any multi config within cores
     for (const Shape &s : kGemvShapes) {
         Rng rng(977 + s.k);
         const Tensor a = Tensor::randomNormal({1, s.k}, rng, 1.0);
@@ -298,55 +406,64 @@ main()
                                  std::to_string(s.n);
         const bool large = std::strcmp(s.kind, "gemv large") == 0;
 
+        // Every (threads, kernel) configuration on its own pool, so
+        // each pool's observer sees only its own dispatches; timed
+        // round-robin against one another.
+        std::vector<std::unique_ptr<base::ThreadPool>> pools;
+        std::vector<TimedConfig> configs(2 * kThreadCounts.size());
+        std::vector<GemvPoint> swept;
+        for (std::size_t i = 0; i < configs.size(); ++i) {
+            const int threads = kThreadCounts[i / 2];
+            const bool int8 = i % 2 == 1;
+            pools.push_back(std::make_unique<base::ThreadPool>(threads));
+            const KernelOptions opts{false, pools.back().get()};
+            const auto run = [&a, &packed, &packed8, int8, opts] {
+                return int8 ? matmulInt8(a, packed8, Tensor(), opts)
+                            : matmulPacked(a, packed, Tensor(), opts);
+            };
+            GemvPoint p;
+            p.shape = s;
+            p.kernel = int8 ? "int8_fused" : "fp32_packed";
+            p.threads = threads;
+            p.exact = bitIdentical(run(), int8 ? ref8 : ref);
+            gemv_exact = gemv_exact && p.exact;
+            swept.push_back(p);
+            configs[i].run = run;
+            configs[i].pool = pools.back().get();
+        }
+        timeInterleaved(configs);
+
         double fp32_x1 = 0, int8_x1 = 0, int8_best_multi = 0;
-        for (const int threads : kThreadCounts) {
-            base::ThreadPool pool(threads);
-            const KernelOptions opts{false, &pool};
-            for (const bool int8 : {false, true}) {
-                const auto run = [&] {
-                    return int8
-                               ? matmulInt8(a, packed8, Tensor(), opts)
-                               : matmulPacked(a, packed, Tensor(),
-                                              opts);
-                };
-                GemvPoint p;
-                p.shape = s;
-                p.kernel = int8 ? "int8_fused" : "fp32_packed";
-                p.threads = threads;
-                p.exact = bitIdentical(run(), int8 ? ref8 : ref);
-                gemv_exact = gemv_exact && p.exact;
-                DispatchStats stats;
-                pool.setObserver(&stats);
-                const double t = timeIt([&] { run(); });
-                pool.setObserver(nullptr);
-                p.tokensPerS = 1.0 / t;
-                p.dispatchMeanUs = stats.meanUs();
-                if (int8 && threads == 1)
-                    int8_x1 = p.tokensPerS;
-                if (int8 && threads > 1 && threads <= hw_cores)
-                    int8_best_multi =
-                        std::max(int8_best_multi, p.tokensPerS);
-                if (!int8 && threads == 1)
-                    fp32_x1 = p.tokensPerS;
-                const double vs_fp32_x1 =
-                    fp32_x1 > 0 ? p.tokensPerS / fp32_x1 : 1.0;
-                gtable.addRow(
-                    {dims,
-                     std::string(int8 ? "int8 fused" : "fp32 packed") +
-                         " x" + std::to_string(threads),
-                     fmtDouble(p.tokensPerS, 1),
-                     threads > 1 ? fmtDouble(p.dispatchMeanUs, 1)
-                                 : std::string("inline"),
-                     fmtDouble(vs_fp32_x1, 2), p.exact ? "yes" : "NO"});
-                gemv.push_back(p);
-            }
+        for (std::size_t i = 0; i < swept.size(); ++i) {
+            GemvPoint &p = swept[i];
+            const bool int8 = i % 2 == 1;
+            p.tokensPerS = 1.0 / configs[i].seconds;
+            p.dispatchMeanUs = configs[i].stats.meanUs();
+            bar.judge(dims + (int8 ? " int8 fused" : " fp32 packed"),
+                      p.threads, p.tokensPerS);
+            if (int8 && p.threads == 1)
+                int8_x1 = p.tokensPerS;
+            if (int8 && p.threads > 1 && p.threads <= hw_cores)
+                int8_best_multi = std::max(int8_best_multi, p.tokensPerS);
+            if (!int8 && p.threads == 1)
+                fp32_x1 = p.tokensPerS;
+            const double vs_fp32_x1 =
+                fp32_x1 > 0 ? p.tokensPerS / fp32_x1 : 1.0;
+            gtable.addRow(
+                {dims,
+                 std::string(int8 ? "int8 fused" : "fp32 packed") + " x" +
+                     std::to_string(p.threads),
+                 fmtDouble(p.tokensPerS, 1),
+                 p.threads > 1 ? fmtDouble(p.dispatchMeanUs, 1)
+                               : std::string("inline"),
+                 fmtDouble(vs_fp32_x1, 2), p.exact ? "yes" : "NO"});
+            gemv.push_back(p);
         }
         gtable.addSeparator();
         if (large) {
             assert_int8_vs_fp32 = int8_x1 / fp32_x1;
-            multi_in_budget = int8_best_multi > 0;
             assert_multi_vs_one =
-                multi_in_budget ? int8_best_multi / int8_x1 : 1.0;
+                int8_best_multi > 0 ? int8_best_multi / int8_x1 : 1.0;
         }
 
         std::ostringstream fact;
@@ -361,26 +478,35 @@ main()
     LIA_ASSERT(gemv_exact,
                "a decode-GEMV kernel diverged from its reference");
 
-    // The acceptance bars (ISSUE 9): the fused int8 dequant-GEMV must
-    // beat fp32-packed by >= 1.5x single-thread on the memory-bound
-    // shape (it streams a quarter of the bytes), and the low-latency
-    // dispatch path must make multi-threading at least free at m = 1.
+    // The acceptance bars: the fused int8 dequant-GEMV must beat
+    // fp32-packed by >= 1.5x single-thread on the memory-bound shape
+    // (it streams a quarter of the bytes), and on every timed shape
+    // and kernel no in-budget multi-thread pool may lose to one thread
+    // — below the work-size rule the pool runs inline, above it the
+    // split must pay for the wake-up.
+    const bool multi_in_budget = bar.judged > 0;
     std::cout << "\nint8 fused vs fp32 packed (x1, large): "
               << fmtDouble(assert_int8_vs_fp32, 2) << "x\n";
-    if (multi_in_budget)
+    if (multi_in_budget) {
         std::cout << "int8 best multi-thread vs x1 (large, <= "
                   << hw_cores << " cores): "
-                  << fmtDouble(assert_multi_vs_one, 2) << "x\n";
-    else
-        std::cout << "int8 multi-thread vs x1: no multi-thread config "
-                     "fits this host's " << hw_cores
-                  << " core(s) — speedup assert is vacuous\n";
+                  << fmtDouble(assert_multi_vs_one, 2) << "x\n"
+                  << "multi-thread vs x1: " << bar.judged
+                  << " in-budget configurations judged, "
+                  << bar.losses.size() << " lost\n";
+        for (const std::string &loss : bar.losses)
+            std::cout << "  LOST " << loss << "\n";
+    } else {
+        std::cout << "multi-thread vs x1: no multi-thread config fits "
+                     "this host's " << hw_cores
+                  << " core(s) — the never-loses assert is vacuous\n";
+    }
     LIA_ASSERT(assert_int8_vs_fp32 >= 1.5,
                "fused int8 dequant-GEMV fell under 1.5x fp32 packed "
                "at m = 1 single-thread: ", assert_int8_vs_fp32);
-    LIA_ASSERT(assert_multi_vs_one >= 1.0,
-               "low-latency multi-thread decode GEMV lost to "
-               "single-thread: ", assert_multi_vs_one);
+    LIA_ASSERT(bar.losses.empty(), bar.losses.size(),
+               " multi-thread configuration(s) lost to single-thread, "
+               "first: ", bar.losses.empty() ? "" : bar.losses.front());
 
     // End-to-end greedy decode on the differential-test model: the
     // wall-clock the differential suite pays per forward, so kernel
@@ -435,7 +561,8 @@ main()
              << ", \"int8_fused_ge_1_5x_fp32_x1\": true"
              << ", \"multi_thread_in_core_budget\": "
              << (multi_in_budget ? "true" : "false")
-             << ", \"multi_thread_ge_1_0x\": true}\n}\n";
+             << ", \"multi_thread_configs_judged\": " << bar.judged
+             << ", \"multi_thread_never_loses\": true}\n}\n";
         std::ofstream file("BENCH_kernel_throughput.json");
         file << json.str();
         std::cout << "\nwrote BENCH_kernel_throughput.json\n";

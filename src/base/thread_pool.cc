@@ -202,10 +202,11 @@ ThreadPool::parallelForImpl(std::int64_t n, std::int64_t grain,
     if (n <= 0)
         return;
     grain = std::max<std::int64_t>(grain, 1);
-    // Inline when serial, nested, or too small to amortise a dispatch.
+    // Inline when serial, nested, or too small to amortise a dispatch
+    // (fewer than two grains: one chunk would carry nearly all of it).
     // All three conditions are independent of scheduling, and chunk
     // bodies are self-contained, so the inline path is bit-identical.
-    if (workers_.empty() || tlsInsideWorker || n <= grain) {
+    if (workers_.empty() || tlsInsideWorker || n / 2 < grain) {
         body(0, n);
         return;
     }

@@ -17,6 +17,13 @@
  * decode calls all reuse one set of workers instead of spawning per
  * call.
  *
+ * Work-sized dispatch: waking workers costs tens of microseconds on a
+ * shared host, more than a small kernel's whole body. Call sites
+ * state their work per item (multiply-accumulates for GEMM rows and
+ * tiles, elements for elementwise loops) and pass grainFor(work) as
+ * the grain, so each chunk carries at least kMinChunkWork; a loop with
+ * fewer than two such chunks runs inline on the caller.
+ *
  * Nested parallelFor calls (a parallel kernel invoked from inside a
  * worker) execute inline on the calling worker — no deadlock, no
  * oversubscription, and the inner loop's sequential order is exactly
@@ -61,6 +68,16 @@ class ParallelObserver
     virtual void onParallelFor(double seconds) = 0;
 };
 
+/**
+ * Least work one dispatched chunk carries, in multiply-accumulates (or
+ * elements, for elementwise loops). Calibrated with
+ * bench/ext_kernel_throughput on a shared 4-vCPU x86-64 host so that
+ * no timed GEMM or GEMV shape runs slower on a multi-thread pool than
+ * on one thread; at 2^17 the smallest dispatched GEMVs lost to one
+ * thread by 5-13 % in some runs (DESIGN.md §7).
+ */
+inline constexpr std::int64_t kMinChunkWork = std::int64_t{1} << 18;
+
 /** Persistent-worker pool running chunked parallel-for loops. */
 class ThreadPool
 {
@@ -86,8 +103,20 @@ class ThreadPool
     }
 
     /**
+     * Items that make up one chunk of kMinChunkWork when each item
+     * costs @p work_per_item (at least 1): the grain a call site
+     * passes to parallelFor.
+     */
+    static std::int64_t grainFor(std::int64_t work_per_item)
+    {
+        const std::int64_t work = work_per_item > 1 ? work_per_item : 1;
+        return (kMinChunkWork + work - 1) / work;
+    }
+
+    /**
      * Run @p body over [0, n), split into contiguous chunks of at
-     * least @p grain items. The caller participates and the call
+     * least @p grain items; a range of fewer than two grains runs
+     * inline as one chunk. The caller participates and the call
      * returns once every chunk completed. Chunk boundaries depend only
      * on (n, grain, threadCount) — never on scheduling — and each
      * index lands in exactly one chunk, so bodies whose units are

@@ -1,5 +1,7 @@
 #include "runtime/executor.hh"
 
+#include <cstring>
+
 #include "base/logging.hh"
 #include "base/units.hh"
 #include "model/sublayer.hh"
@@ -28,7 +30,8 @@ CooperativeExecutor::CooperativeExecutor(const hw::SystemConfig &system,
 
     // Construction-time pool injection: every kernel this executor
     // runs — batch prefill/decode and the serving backend's per-call
-    // decodeOne stream alike — shares one set of persistent workers.
+    // prefill-chunk and decode-batch stream alike — shares one set of
+    // persistent workers.
     kernelOpts_.pool = config_.pool != nullptr
                            ? config_.pool.get()
                            : &base::ThreadPool::shared();
@@ -136,26 +139,26 @@ CooperativeExecutor::resetStats()
 
 Tensor
 CooperativeExecutor::embed(const std::vector<std::int64_t> &flat_tokens,
-                           std::int64_t batch, std::int64_t tokens,
-                           std::int64_t position)
+                           const std::vector<std::int64_t> &positions)
 {
     const auto &cfg = weights_.config;
-    Tensor hidden({batch * tokens, cfg.dModel});
+    const auto rows = static_cast<std::int64_t>(flat_tokens.size());
+    Tensor hidden({rows, cfg.dModel});
     const std::int64_t d = cfg.dModel;
     const float *emb = weights_.embedding.data();
     const float *pos_emb = weights_.posEmbedding.data();
     float *out = hidden.data();
-    // Row-partitioned gather: each (b, t) row is written by exactly
-    // one chunk, so the result is thread-count invariant.
+    // Row-partitioned gather (d elements per row): each row is written
+    // by exactly one chunk, so the result is thread-count invariant.
     kernelOpts_.pool->parallelFor(
-        batch * tokens, 4, [&](std::int64_t r0, std::int64_t r1) {
+        rows, base::ThreadPool::grainFor(d),
+        [&](std::int64_t r0, std::int64_t r1) {
             for (std::int64_t r = r0; r < r1; ++r) {
-                const std::int64_t t = r % tokens;
-                const std::int64_t tok =
-                    flat_tokens[static_cast<std::size_t>(r)];
+                const auto i = static_cast<std::size_t>(r);
+                const std::int64_t tok = flat_tokens[i];
                 LIA_ASSERT(tok >= 0 && tok < cfg.vocabSize,
                            "token id out of range: ", tok);
-                const std::int64_t pos = position + t;
+                const std::int64_t pos = positions[i];
                 LIA_ASSERT(pos < cfg.maxSeqLen, "position overflow");
                 const float *erow = emb + tok * d;
                 const float *prow = pos_emb + pos * d;
@@ -221,18 +224,49 @@ CooperativeExecutor::chargeSublayer(int index, Stage stage,
 }
 
 Tensor
-CooperativeExecutor::forwardLayers(KvCache &cache, Tensor hidden,
-                                   Stage stage, std::int64_t batch,
+CooperativeExecutor::forward(const std::vector<KvCache *> &caches,
+                             const std::vector<std::int64_t> &flat_tokens,
+                             Stage stage, std::int64_t tokens)
+{
+    LIA_ASSERT(!caches.empty() && tokens > 0, "empty forward pass");
+    std::vector<std::int64_t> positions;
+    positions.reserve(flat_tokens.size());
+    for (const KvCache *cache : caches)
+        for (std::int64_t b = 0; b < cache->batch(); ++b)
+            for (std::int64_t t = 0; t < tokens; ++t)
+                positions.push_back(cache->length() + t);
+    LIA_ASSERT(positions.size() == flat_tokens.size(), "fed ",
+               flat_tokens.size(), " tokens to ", positions.size(),
+               " cached positions");
+    return forwardLayers(caches, embed(flat_tokens, positions), stage,
+                         tokens);
+}
+
+Tensor
+CooperativeExecutor::forwardLayers(const std::vector<KvCache *> &caches,
+                                   Tensor hidden, Stage stage,
                                    std::int64_t tokens)
 {
     const auto &cfg = weights_.config;
     const Policy &policy = stage == Stage::Prefill
                                ? config_.prefillPolicy
                                : config_.decodePolicy;
-    // Context length the attention sublayers operate on, including the
-    // tokens this step appends (decode — and a chunked prefill
-    // extending existing history — read the grown cache).
-    const std::int64_t context = cache.length() + tokens;
+    // Per sequence: its first hidden row, and the context length the
+    // attention sublayers operate on, including the tokens this step
+    // appends (decode — and a chunked prefill extending existing
+    // history — read the grown cache).
+    std::vector<std::int64_t> firstRow, context;
+    std::int64_t rows = 0, attnWork = 0;
+    for (const KvCache *cache : caches) {
+        firstRow.push_back(rows);
+        context.push_back(cache->length() + tokens);
+        rows += cache->batch() * tokens;
+        attnWork += 2 * cache->batch() * tokens * context.back() *
+                    cfg.dModel;
+    }
+    LIA_ASSERT(hidden.dim(0) == rows, "hidden rows ", hidden.dim(0),
+               " != ", rows, " cached rows");
+    const auto sequences = static_cast<std::int64_t>(caches.size());
 
     // Per-tensor dispatch over the placement pack() decided: the int8
     // tile kernel where an int8 pack exists, the fp32 packed kernel
@@ -244,9 +278,11 @@ CooperativeExecutor::forwardLayers(KvCache &cache, Tensor hidden,
                           : matmulInt8(x, q8, bias, kernelOpts_);
     };
 
+    // Every kernel below is row-independent (DESIGN.md §7), so one
+    // m = rows projection over the whole ragged batch is bit-identical
+    // to each sequence's own forward; only attention is per sequence.
     for (std::int64_t l = 0; l < cfg.numLayers; ++l) {
         const auto &w = weights_.layers[static_cast<std::size_t>(l)];
-        const bool resident = l < config_.residentLayers;
 
         // Sublayer 1: QKV mapping (pre-LN). Weight matmuls run the
         // packed-tile kernel against the forms cached at pack() time.
@@ -255,20 +291,34 @@ CooperativeExecutor::forwardLayers(KvCache &cache, Tensor hidden,
         Tensor q = project(normed, w.packedWq, w.int8Wq, w.bq);
         Tensor k = project(normed, w.packedWk, w.int8Wk, w.bk);
         Tensor v = project(normed, w.packedWv, w.int8Wv, w.bv);
-        cache.append(l, k.reshaped({batch, tokens, cfg.kvDim()}),
-                     v.reshaped({batch, tokens, cfg.kvDim()}));
-        chargeSublayer(0, stage, batch, context, resident, policy);
+        for (std::int64_t s = 0; s < sequences; ++s) {
+            const std::int64_t row = firstRow[static_cast<std::size_t>(s)];
+            caches[static_cast<std::size_t>(s)]->append(
+                l, k.data() + row * cfg.kvDim(),
+                v.data() + row * cfg.kvDim(), tokens);
+        }
 
-        // Sublayers 2+3: attention scoring, reading the cache in place.
-        Tensor attn = cachedAttention(q, cache.view(l), cfg.numHeads,
-                                      tokens, kernelOpts_);
-        chargeSublayer(1, stage, batch, context, resident, policy);
-        chargeSublayer(2, stage, batch, context, resident, policy);
+        // Sublayers 2+3: attention scoring, reading each sequence's
+        // cache in place. Sequences are the parallel unit (sized by
+        // their mean context); one alone keeps the kernel's own
+        // per-head parallelism, since nested loops run inline.
+        Tensor attn({rows, cfg.dModel});
+        kernelOpts_.pool->parallelFor(
+            sequences, base::ThreadPool::grainFor(attnWork / sequences),
+            [&](std::int64_t s0, std::int64_t s1) {
+                for (std::int64_t s = s0; s < s1; ++s) {
+                    const auto i = static_cast<std::size_t>(s);
+                    const std::int64_t off = firstRow[i] * cfg.dModel;
+                    cachedAttention(q.data() + off, cfg.dModel,
+                                    caches[i]->view(l), cfg.numHeads,
+                                    tokens, attn.data() + off,
+                                    kernelOpts_);
+                }
+            });
 
         // Sublayer 4: output projection + residual.
         Tensor proj = project(attn, w.packedWo, w.int8Wo, w.bo);
         hidden = add(hidden, proj, kernelOpts_);
-        chargeSublayer(3, stage, batch, context, resident, policy);
 
         // Sublayers 5+6: FFN + residual. OPT uses ReLU; Llama-style
         // models gate the up projection with SiLU (SwiGLU).
@@ -282,33 +332,42 @@ CooperativeExecutor::forwardLayers(KvCache &cache, Tensor hidden,
         } else {
             reluInPlace(h1, kernelOpts_);
         }
-        chargeSublayer(4, stage, batch, context, resident, policy);
         Tensor h2 = project(h1, w.packedW2, w.int8W2, w.b2);
         hidden = add(hidden, h2, kernelOpts_);
-        chargeSublayer(5, stage, batch, context, resident, policy);
+    }
+
+    // Account the six sublayers per sequence, layer by layer — the
+    // order a run of per-sequence forwards charges them in, so the
+    // ledger and busy-time sums match it bit for bit.
+    for (std::int64_t s = 0; s < sequences; ++s) {
+        const std::int64_t batch =
+            caches[static_cast<std::size_t>(s)]->batch();
+        for (std::int64_t l = 0; l < cfg.numLayers; ++l) {
+            const bool resident = l < config_.residentLayers;
+            for (int index = 0; index < model::kNumSublayers; ++index)
+                chargeSublayer(index, stage, batch,
+                               context[static_cast<std::size_t>(s)],
+                               resident, policy);
+        }
     }
     return hidden;
 }
 
 std::vector<std::int64_t>
-CooperativeExecutor::sample(const Tensor &hidden, std::int64_t batch,
-                            std::int64_t tokens)
+CooperativeExecutor::sample(const Tensor &hidden, std::int64_t tokens)
 {
-    const auto &cfg = weights_.config;
-    // Only the final position of each sequence feeds the LM head.
-    Tensor last({batch, cfg.dModel});
+    // Only the final position of each sequence feeds the LM head; a
+    // one-token step's rows already are those positions.
+    if (tokens == 1)
+        return sampleAll(hidden);
+    const std::int64_t d = weights_.config.dModel;
+    const std::int64_t batch = hidden.dim(0) / tokens;
+    Tensor last({batch, d});
     for (std::int64_t b = 0; b < batch; ++b)
-        for (std::int64_t c = 0; c < cfg.dModel; ++c)
-            last.at(b, c) = hidden.at(b * tokens + (tokens - 1), c);
-    Tensor normed =
-        layerNorm(last, weights_.lnFinalGain, weights_.lnFinalBias,
-                  kernelOpts_);
-    // Tied LM head: the packed transpose of the embedding. The vocab
-    // axis is the column-tile partition, so decode's m = 1 projection
-    // — the widest matmul per step — spreads across the pool.
-    Tensor logits = matmulPacked(normed, weights_.packedLmHead,
-                                 Tensor(), kernelOpts_);
-    return sampler_.sampleRows(logits);
+        std::memcpy(last.data() + b * d,
+                    hidden.data() + (b * tokens + tokens - 1) * d,
+                    static_cast<std::size_t>(d) * sizeof(float));
+    return sampleAll(last);
 }
 
 std::vector<std::int64_t>
@@ -340,24 +399,15 @@ CooperativeExecutor::prefill(
     flat.reserve(static_cast<std::size_t>(batch * tokens));
     for (const auto &p : prompts)
         flat.insert(flat.end(), p.begin(), p.end());
-
-    Tensor hidden = embed(flat, batch, tokens, 0);
-    hidden = forwardLayers(*cache_, std::move(hidden), Stage::Prefill,
-                           batch, tokens);
-    return sample(hidden, batch, tokens);
+    return sample(forward({cache_.get()}, flat, Stage::Prefill, tokens),
+                  tokens);
 }
 
 std::vector<std::int64_t>
 CooperativeExecutor::decodeStep(const std::vector<std::int64_t> &tokens)
 {
     LIA_ASSERT(cache_ != nullptr, "prefill must run first");
-    const auto batch = static_cast<std::int64_t>(tokens.size());
-    LIA_ASSERT(batch == cache_->batch(), "batch mismatch");
-
-    Tensor hidden = embed(tokens, batch, 1, cache_->length());
-    hidden = forwardLayers(*cache_, std::move(hidden), Stage::Decode,
-                           batch, 1);
-    return sample(hidden, batch, 1);
+    return decodeBatch({cache_.get()}, tokens);
 }
 
 std::int64_t
@@ -368,36 +418,37 @@ CooperativeExecutor::prefillChunk(
                "per-sequence prefill wants a batch-1 cache");
     LIA_ASSERT(!tokens.empty(), "empty prefill chunk");
     const auto count = static_cast<std::int64_t>(tokens.size());
-    Tensor hidden = embed(tokens, 1, count, cache.length());
-    hidden = forwardLayers(cache, std::move(hidden), Stage::Prefill,
-                           1, count);
-    return sample(hidden, 1, count).front();
+    return sample(forward({&cache}, tokens, Stage::Prefill, count), count)
+        .front();
 }
 
 std::int64_t
 CooperativeExecutor::decodeOne(KvCache &cache, std::int64_t token)
 {
-    LIA_ASSERT(cache.batch() == 1,
-               "per-sequence decode wants a batch-1 cache");
-    LIA_ASSERT(cache.length() > 0, "decode against an empty cache");
-    Tensor hidden = embed({token}, 1, 1, cache.length());
-    hidden = forwardLayers(cache, std::move(hidden), Stage::Decode,
-                           1, 1);
-    return sample(hidden, 1, 1).front();
+    return decodeBatch({&cache}, {token}).front();
 }
 
 std::vector<std::int64_t>
-CooperativeExecutor::sampleAll(const Tensor &hidden,
-                               std::int64_t tokens)
+CooperativeExecutor::decodeBatch(const std::vector<KvCache *> &caches,
+                                 const std::vector<std::int64_t> &tokens)
 {
-    LIA_ASSERT(hidden.dim(0) == tokens, "hidden rows != tokens");
+    for (const KvCache *cache : caches)
+        LIA_ASSERT(cache->length() > 0, "decode against an empty cache");
+    return sampleAll(forward(caches, tokens, Stage::Decode, 1));
+}
+
+std::vector<std::int64_t>
+CooperativeExecutor::sampleAll(const Tensor &hidden)
+{
     // Every row feeds the LM head. layerNorm, the packed projection,
-    // and greedy row sampling are all row-independent and row-count
-    // invariant (DESIGN.md §7), so row i here is bit-identical to the
-    // single-row sample() of a sequential decode at that position.
+    // and row sampling are all row-independent and row-count invariant
+    // (DESIGN.md §7), so row i here is bit-identical to a one-row
+    // projection of that position alone.
     Tensor normed =
         layerNorm(hidden, weights_.lnFinalGain, weights_.lnFinalBias,
                   kernelOpts_);
+    // Tied LM head: the packed transpose of the embedding. The vocab
+    // axis is the column-tile partition.
     Tensor logits = matmulPacked(normed, weights_.packedLmHead,
                                  Tensor(), kernelOpts_);
     return sampler_.sampleRows(logits);
@@ -424,10 +475,8 @@ CooperativeExecutor::verifyBatch(KvCache &cache,
     feed.push_back(last_token);
     feed.insert(feed.end(), drafts.begin(), drafts.end());
 
-    Tensor hidden = embed(feed, 1, k + 1, base);
-    hidden = forwardLayers(cache, std::move(hidden), Stage::Decode,
-                           1, k + 1);
-    const std::vector<std::int64_t> samples = sampleAll(hidden, k + 1);
+    const std::vector<std::int64_t> samples =
+        sampleAll(forward({&cache}, feed, Stage::Decode, k + 1));
 
     SpeculativeVerify out;
     while (out.accepted < k &&

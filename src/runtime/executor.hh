@@ -57,8 +57,8 @@ struct ExecutorConfig
         model::WeightPrecision::Bf16;
     /**
      * Pool the kernels run on; injected at construction so every
-     * prefill/decode call — including the serving backend's
-     * batch-of-one decodeOne stream — reuses one set of persistent
+     * prefill/decode call — including the serving backend's stream of
+     * prefill chunks and decode batches — reuses one set of persistent
      * workers. Null selects the process-wide shared pool. Thread
      * count never changes results (DESIGN.md §7).
      */
@@ -105,7 +105,7 @@ class CooperativeExecutor
 
     /**
      * Run one decode step feeding back @p tokens (one per sequence);
-     * returns the next tokens.
+     * returns the next tokens. decodeBatch over the prefill's cache.
      */
     std::vector<std::int64_t>
     decodeStep(const std::vector<std::int64_t> &tokens);
@@ -136,6 +136,22 @@ class CooperativeExecutor
      */
     std::int64_t prefillChunk(KvCache &cache,
                               const std::vector<std::int64_t> &tokens);
+
+    /**
+     * One decode step of a ragged batch: every cache is one sequence
+     * group at its own context length, fed its rows' tokens from
+     * @p tokens in cache order (one token per batch row, so
+     * tokens.size() is the caches' summed batch). Each projection and
+     * the LM head run as one m = rows matmul across the batch; each
+     * cache gets its own K/V rows and its own attention over its view.
+     * Returns one sampled token per row, bit-identical — and identical
+     * in the ledger and busy times it charges — to running decodeOne
+     * on each sequence in turn (DESIGN.md §6/§7). The one decode path:
+     * decodeOne and decodeStep are this call.
+     */
+    std::vector<std::int64_t>
+    decodeBatch(const std::vector<KvCache *> &caches,
+                const std::vector<std::int64_t> &tokens);
 
     /** One decode step of one sequence: feed @p token, sample the next. */
     std::int64_t decodeOne(KvCache &cache, std::int64_t token);
@@ -186,27 +202,33 @@ class CooperativeExecutor
     }
 
   private:
-    /** Run all decoder layers over (B*T, d) hidden states against
-     *  @p cache (appending this step's KV). */
-    Tensor forwardLayers(KvCache &cache, Tensor hidden,
-                         model::Stage stage, std::int64_t batch,
+    /**
+     * Embed @p flat_tokens (each cache's batch rows x @p tokens, in
+     * cache order) at their caches' next positions and run all decoder
+     * layers, appending this step's KV to every cache.
+     */
+    Tensor forward(const std::vector<KvCache *> &caches,
+                   const std::vector<std::int64_t> &flat_tokens,
+                   model::Stage stage, std::int64_t tokens);
+
+    /** Run all decoder layers over the caches' hidden rows. */
+    Tensor forwardLayers(const std::vector<KvCache *> &caches,
+                         Tensor hidden, model::Stage stage,
                          std::int64_t tokens);
 
-    /** Gather embeddings for one step. */
+    /** Gather embeddings: one row per token, at @p positions (one per
+     *  token). */
     Tensor embed(const std::vector<std::int64_t> &flat_tokens,
-                 std::int64_t batch, std::int64_t tokens,
-                 std::int64_t position);
+                 const std::vector<std::int64_t> &positions);
 
-    /** Project hidden states to logits and sample the next tokens. */
+    /** Sample the next token of each @p tokens-row sequence from its
+     *  final position. */
     std::vector<std::int64_t> sample(const Tensor &hidden,
-                                     std::int64_t batch,
                                      std::int64_t tokens);
 
-    /** Project and sample every position of a batch-1 multi-token
-     *  step: one sampled token per row (the verify pass scores all
-     *  k+1 positions at once). */
-    std::vector<std::int64_t> sampleAll(const Tensor &hidden,
-                                        std::int64_t tokens);
+    /** Project and sample every row (the verify pass scores all k+1
+     *  positions at once; a decode step's rows are all final). */
+    std::vector<std::int64_t> sampleAll(const Tensor &hidden);
 
     /** Account one sublayer's transfers and compute time. */
     void chargeSublayer(int index, model::Stage stage,

@@ -20,14 +20,20 @@ namespace runtime {
 
 namespace {
 
-/** Run @p body over [0, n) on the options' pool (or inline). */
+/**
+ * Run @p body over [0, n) on the options' pool (or inline). Each item
+ * costs @p work_per_item multiply-accumulates (elements, for
+ * elementwise loops); the pool only recruits workers when the loop
+ * holds at least two chunks of base::kMinChunkWork.
+ */
 template <typename Body>
 void
 parallelRun(const KernelOptions &opts, std::int64_t n,
-            std::int64_t grain, const Body &body)
+            std::int64_t work_per_item, const Body &body)
 {
     if (opts.pool != nullptr) {
-        opts.pool->parallelFor(n, grain, body);
+        opts.pool->parallelFor(
+            n, base::ThreadPool::grainFor(work_per_item), body);
     } else {
         body(static_cast<std::int64_t>(0), n);
     }
@@ -42,10 +48,11 @@ parallelRun(const KernelOptions &opts, std::int64_t n,
 template <typename Body>
 void
 parallelRunLowLatency(const KernelOptions &opts, std::int64_t n,
-                      std::int64_t grain, const Body &body)
+                      std::int64_t work_per_item, const Body &body)
 {
     if (opts.pool != nullptr) {
-        opts.pool->parallelForLowLatency(n, grain, body);
+        opts.pool->parallelForLowLatency(
+            n, base::ThreadPool::grainFor(work_per_item), body);
     } else {
         body(static_cast<std::int64_t>(0), n);
     }
@@ -58,7 +65,7 @@ maybeRound(Tensor &t, const KernelOptions &opts)
         return;
     float *p = t.data();
     // Elementwise, so any chunking rounds identically.
-    parallelRun(opts, t.numel(), 8192,
+    parallelRun(opts, t.numel(), 1,
                 [p](std::int64_t i0, std::int64_t i1) {
                     for (std::int64_t i = i0; i < i1; ++i)
                         p[i] = roundToBf16(p[i]);
@@ -478,7 +485,7 @@ matmul(const Tensor &a, const Tensor &b, const Tensor &bias,
     if (m >= 4) {
         // Whole-output-row partition: every element of a row is
         // produced by one chunk in the reference's i-k-j order.
-        parallelRun(opts, m, 1, [&](std::int64_t i0, std::int64_t i1) {
+        parallelRun(opts, m, k * n, [&](std::int64_t i0, std::int64_t i1) {
             for (std::int64_t i = i0; i < i1; ++i) {
                 float *crow = pc + i * n;
                 if (has_bias) {
@@ -497,7 +504,7 @@ matmul(const Tensor &a, const Tensor &b, const Tensor &bias,
     } else {
         // Skinny (decode) shapes: partition output columns instead;
         // each element still accumulates k-ascending.
-        parallelRun(opts, n, 64, [&](std::int64_t j0, std::int64_t j1) {
+        parallelRun(opts, n, m * k, [&](std::int64_t j0, std::int64_t j1) {
             for (std::int64_t i = 0; i < m; ++i) {
                 float *crow = pc + i * n;
                 if (has_bias) {
@@ -561,10 +568,11 @@ matmulPacked(const Tensor &a, const PackedMatrix &b, const Tensor &bias,
     };
     // Decode shapes take the pool's low-latency dispatch (same
     // chunking, same results — only the waiting strategy differs).
+    const std::int64_t tileWork = m * k * kPackTileWidth;
     if (m < 4)
-        parallelRunLowLatency(opts, b.tiles(), 1, tileSweep);
+        parallelRunLowLatency(opts, b.tiles(), tileWork, tileSweep);
     else
-        parallelRun(opts, b.tiles(), 1, tileSweep);
+        parallelRun(opts, b.tiles(), tileWork, tileSweep);
     maybeRound(c, opts);
     return c;
 }
@@ -722,6 +730,7 @@ matmulInt8(const Tensor &a, const PackedInt8Matrix &b,
     // the codes are identical to the scalar reference's.
     std::vector<std::int8_t> aq(static_cast<std::size_t>(m * lda), 0);
     std::vector<float> sa(static_cast<std::size_t>(m), 0.0f);
+    const std::int64_t tileWork = m * lda * kPackTileWidth;
 
     if (m < 4) {
         // Decode shapes: quantize the few rows inline, then run the
@@ -732,7 +741,8 @@ matmulInt8(const Tensor &a, const PackedInt8Matrix &b,
             sa[static_cast<std::size_t>(i)] =
                 quantizeRowInt8(pa + i * k, k, aq.data() + i * lda);
         parallelRunLowLatency(
-            opts, b.tiles(), 1, [&](std::int64_t t0, std::int64_t t1) {
+            opts, b.tiles(), tileWork,
+            [&](std::int64_t t0, std::int64_t t1) {
                 for (std::int64_t i = 0; i < m; ++i)
                     int8GemvRow(aq.data() + i * lda,
                                 sa[static_cast<std::size_t>(i)], b, t0,
@@ -742,14 +752,15 @@ matmulInt8(const Tensor &a, const PackedInt8Matrix &b,
         // GEMM shapes: row-partitioned quantization (each row's codes
         // are produced by exactly one chunk), then the register-
         // blocked tile microkernel over column tiles.
-        parallelRun(opts, m, 8, [&](std::int64_t i0, std::int64_t i1) {
+        parallelRun(opts, m, k, [&](std::int64_t i0, std::int64_t i1) {
             for (std::int64_t i = i0; i < i1; ++i)
                 sa[static_cast<std::size_t>(i)] = quantizeRowInt8(
                     pa + i * k, k, aq.data() + i * lda);
         });
         const std::int64_t kp = b.kPairs();
         parallelRun(
-            opts, b.tiles(), 1, [&](std::int64_t t0, std::int64_t t1) {
+            opts, b.tiles(), tileWork,
+            [&](std::int64_t t0, std::int64_t t1) {
                 for (std::int64_t jt = t0; jt < t1; ++jt) {
                     const std::int64_t j0 = jt * kPackTileWidth;
 #if LIA_KERNEL_SSE2
@@ -844,11 +855,11 @@ matmulTransposed(const Tensor &a, const Tensor &b,
         }
     };
     if (m >= 4) {
-        parallelRun(opts, m, 1, [&](std::int64_t i0, std::int64_t i1) {
+        parallelRun(opts, m, k * n, [&](std::int64_t i0, std::int64_t i1) {
             dotRange(i0, i1, 0, n);
         });
     } else {
-        parallelRun(opts, n, 16, [&](std::int64_t j0, std::int64_t j1) {
+        parallelRun(opts, n, m * k, [&](std::int64_t j0, std::int64_t j1) {
             dotRange(0, m, j0, j1);
         });
     }
@@ -872,7 +883,7 @@ causalSoftmaxRows(Tensor &t, std::int64_t offset,
     const std::int64_t rows = t.dim(0);
     const std::int64_t cols = t.dim(1);
     float *pt = t.data();
-    parallelRun(opts, rows, 1, [&](std::int64_t r0, std::int64_t r1) {
+    parallelRun(opts, rows, cols, [&](std::int64_t r0, std::int64_t r1) {
         for (std::int64_t i = r0; i < r1; ++i) {
             float *row = pt + i * cols;
             const std::int64_t limit = std::min(cols, offset + i + 1);
@@ -975,14 +986,25 @@ cachedAttention(const Tensor &q, const KvView &kv,
                 std::int64_t num_heads, std::int64_t tokens,
                 const KernelOptions &opts)
 {
-    obs::KernelProfiler::Scope profile(opts.profiler, "attention");
-    LIA_ASSERT(q.ndim() == 2 && num_heads > 0 && tokens > 0,
-               "attention wants 2-D queries");
+    LIA_ASSERT(q.ndim() == 2, "attention wants 2-D queries");
     LIA_ASSERT(q.dim(0) == kv.batch * tokens,
                "attention query rows ", q.dim(0), " != batch ",
                kv.batch, " x tokens ", tokens);
-    LIA_ASSERT(q.dim(1) % num_heads == 0, "query width not per-head");
-    const std::int64_t width = q.dim(1);
+    Tensor out({q.dim(0), q.dim(1)});
+    cachedAttention(q.data(), q.dim(1), kv, num_heads, tokens,
+                    out.data(), opts);
+    return out;
+}
+
+void
+cachedAttention(const float *q, std::int64_t width, const KvView &kv,
+                std::int64_t num_heads, std::int64_t tokens, float *out,
+                const KernelOptions &opts)
+{
+    obs::KernelProfiler::Scope profile(opts.profiler, "attention");
+    LIA_ASSERT(num_heads > 0 && tokens > 0 && width % num_heads == 0,
+               "query width ", width, " not per-head over ", num_heads,
+               " heads");
     const std::int64_t dh = width / num_heads;
     LIA_ASSERT(kv.kvDim % dh == 0 && kv.kvDim > 0 &&
                    num_heads % (kv.kvDim / dh) == 0,
@@ -993,14 +1015,12 @@ cachedAttention(const Tensor &q, const KvView &kv,
                " cached tokens for ", tokens, " new ones");
     const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
 
-    Tensor out({kv.batch * tokens, width});
-    const float *pq = q.data();
-    float *po = out.data();
     // Head-partitioned: each (batch, head) pair is self-contained and
     // writes a disjoint column slice of the output, so any schedule
     // produces identical bits. The softmax call inside runs inline on
-    // the worker (nested parallelFor), keeping its serial order.
-    parallelRun(opts, kv.batch * num_heads, 1,
+    // the worker (nested parallelFor), keeping its serial order. A
+    // pair costs QK^T plus SV: 2 * tokens * len * dh MACs.
+    parallelRun(opts, kv.batch * num_heads, 2 * tokens * len * dh,
                 [&](std::int64_t bh0, std::int64_t bh1) {
         Tensor scores({tokens, len});
         float *ps = scores.data();
@@ -1013,7 +1033,7 @@ cachedAttention(const Tensor &q, const KvView &kv,
             // Sublayer 2: S = Q x K^T, rounded, then scaled.
             for (std::int64_t t = 0; t < tokens; ++t) {
                 float *srow = ps + t * len;
-                dotRows(pq + (b * tokens + t) * width + h * dh, kb,
+                dotRows(q + (b * tokens + t) * width + h * dh, kb,
                         kv.kvDim, len, dh, srow);
                 for (std::int64_t i = 0; i < len; ++i) {
                     const float x = opts.bf16Rounding
@@ -1026,7 +1046,8 @@ cachedAttention(const Tensor &q, const KvView &kv,
             // Sublayer 3: softmax(S) x V into this head's output
             // columns (zero-initialised), positions ascending.
             for (std::int64_t t = 0; t < tokens; ++t) {
-                float *orow = po + (b * tokens + t) * width + h * dh;
+                float *orow = out + (b * tokens + t) * width + h * dh;
+                std::fill(orow, orow + dh, 0.0f);
                 accumulateRows(ps + t * len, vb, kv.kvDim, len, dh, orow);
                 if (opts.bf16Rounding) {
                     for (std::int64_t c = 0; c < dh; ++c)
@@ -1035,7 +1056,6 @@ cachedAttention(const Tensor &q, const KvView &kv,
             }
         }
     });
-    return out;
 }
 
 Tensor
@@ -1056,7 +1076,7 @@ layerNorm(const Tensor &x, const Tensor &gain, const Tensor &bias,
     const float *pg = gain.data();
     const float *pb = bias.data();
     float *po = out.data();
-    parallelRun(opts, rows, 1, [&](std::int64_t r0, std::int64_t r1) {
+    parallelRun(opts, rows, n, [&](std::int64_t r0, std::int64_t r1) {
         for (std::int64_t i = r0; i < r1; ++i) {
             const float *row = px + i * n;
             float *orow = po + i * n;
@@ -1084,7 +1104,7 @@ reluInPlace(Tensor &t, const KernelOptions &opts)
 {
     obs::KernelProfiler::Scope profile(opts.profiler, "relu");
     float *p = t.data();
-    parallelRun(opts, t.numel(), 8192,
+    parallelRun(opts, t.numel(), 1,
                 [p](std::int64_t i0, std::int64_t i1) {
                     for (std::int64_t i = i0; i < i1; ++i)
                         p[i] = std::max(p[i], 0.0f);
@@ -1097,7 +1117,7 @@ siluInPlace(Tensor &t, const KernelOptions &opts)
 {
     obs::KernelProfiler::Scope profile(opts.profiler, "silu");
     float *p = t.data();
-    parallelRun(opts, t.numel(), 2048,
+    parallelRun(opts, t.numel(), 1,
                 [p](std::int64_t i0, std::int64_t i1) {
                     for (std::int64_t i = i0; i < i1; ++i) {
                         const float x = p[i];
@@ -1114,7 +1134,7 @@ mulInPlace(Tensor &a, const Tensor &b, const KernelOptions &opts)
     LIA_ASSERT(a.shape() == b.shape(), "mul shape mismatch");
     float *pa = a.data();
     const float *pb = b.data();
-    parallelRun(opts, a.numel(), 8192,
+    parallelRun(opts, a.numel(), 1,
                 [pa, pb](std::int64_t i0, std::int64_t i1) {
                     for (std::int64_t i = i0; i < i1; ++i)
                         pa[i] *= pb[i];
@@ -1130,7 +1150,7 @@ add(const Tensor &a, const Tensor &b, const KernelOptions &opts)
     Tensor c = a.clone();
     float *pc = c.data();
     const float *pb = b.data();
-    parallelRun(opts, c.numel(), 8192,
+    parallelRun(opts, c.numel(), 1,
                 [pc, pb](std::int64_t i0, std::int64_t i1) {
                     for (std::int64_t i = i0; i < i1; ++i)
                         pc[i] += pb[i];

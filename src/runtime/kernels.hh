@@ -226,6 +226,18 @@ Tensor cachedAttention(const Tensor &q, const KvView &kv,
                        std::int64_t num_heads, std::int64_t tokens,
                        const KernelOptions &opts = {});
 
+/**
+ * cachedAttention over raw rows: @p q points at kv.batch * tokens
+ * query rows of @p width floats, and the context is written to the
+ * same-shaped rows at @p out. Identical arithmetic to the Tensor
+ * overload (which is this call over one whole tensor); the executor's
+ * ragged decode runs it once per sequence over that sequence's rows.
+ */
+void cachedAttention(const float *q, std::int64_t width,
+                     const KvView &kv, std::int64_t num_heads,
+                     std::int64_t tokens, float *out,
+                     const KernelOptions &opts = {});
+
 /** LayerNorm over the last axis with learned gain/bias (both (n)). */
 Tensor layerNorm(const Tensor &x, const Tensor &gain, const Tensor &bias,
                  const KernelOptions &opts = {});

@@ -150,25 +150,40 @@ KvCache::KvCache(const model::ModelConfig &config, std::int64_t batch,
 void
 KvCache::append(std::int64_t layer, const Tensor &k, const Tensor &v)
 {
-    LIA_ASSERT(layer == nextLayer_,
-               "layers must append in order; expected ", nextLayer_,
-               " got ", layer);
     LIA_ASSERT(k.ndim() == 3 && v.ndim() == 3, "KV must be 3-D");
     LIA_ASSERT(k.dim(0) == batch_ && v.dim(0) == batch_,
                "KV batch mismatch");
     LIA_ASSERT(k.dim(2) == config_.kvDim() &&
                v.dim(2) == config_.kvDim(), "KV width mismatch");
-    const std::int64_t t = k.dim(1);
-    LIA_ASSERT(v.dim(1) == t, "K/V token count mismatch");
-    LIA_ASSERT(length_ + t <= maxLen_, "KV cache overflow");
+    LIA_ASSERT(v.dim(1) == k.dim(1), "K/V token count mismatch");
+    append(layer, k.data(), v.data(), k.dim(1));
+}
+
+void
+KvCache::append(std::int64_t layer, const float *k, const float *v,
+                std::int64_t tokens)
+{
+    LIA_ASSERT(layer == nextLayer_,
+               "layers must append in order; expected ", nextLayer_,
+               " got ", layer);
+    LIA_ASSERT(tokens > 0, "appending ", tokens, " tokens");
+    LIA_ASSERT(length_ + tokens <= maxLen_, "KV cache overflow");
     if (layer == 0)
-        pendingTokens_ = t;
-    LIA_ASSERT(t == pendingTokens_,
+        pendingTokens_ = tokens;
+    LIA_ASSERT(tokens == pendingTokens_,
                "inconsistent token count across layers");
 
-    copyTokens(k, 0, keys_[static_cast<std::size_t>(layer)], length_, t);
-    copyTokens(v, 0, values_[static_cast<std::size_t>(layer)], length_,
-               t);
+    const std::int64_t kv = config_.kvDim();
+    const auto bytes =
+        static_cast<std::size_t>(tokens * kv) * sizeof(float);
+    Tensor &keys = keys_[static_cast<std::size_t>(layer)];
+    Tensor &values = values_[static_cast<std::size_t>(layer)];
+    for (std::int64_t b = 0; b < batch_; ++b) {
+        const std::int64_t dst = (b * maxLen_ + length_) * kv;
+        const std::int64_t src = b * tokens * kv;
+        std::memcpy(keys.data() + dst, k + src, bytes);
+        std::memcpy(values.data() + dst, v + src, bytes);
+    }
 
     ++nextLayer_;
     if (nextLayer_ == config_.numLayers) {
@@ -369,13 +384,15 @@ KvCache::tokenDigests(std::int64_t len, base::ThreadPool *pool) const
     if (pool == nullptr)
         pool = &base::ThreadPool::shared();
 
-    // Per-token FNV-1a digests computed in parallel; callers fold them
+    // Per-token FNV-1a digests computed in parallel (each token hashes
+    // K and V floats of every layer and batch row); callers fold them
     // in position order, so the combination is a pure function of the
     // stored bits and two caches holding bit-identical KV for the
     // prefix fingerprint identically at any thread count.
     std::vector<std::uint64_t> perToken(static_cast<std::size_t>(len));
     pool->parallelFor(
-        len, 2, [&](std::int64_t t0, std::int64_t t1) {
+        len, base::ThreadPool::grainFor(2 * config_.numLayers * batch_ * kv),
+        [&](std::int64_t t0, std::int64_t t1) {
             for (std::int64_t i = t0; i < t1; ++i) {
                 std::uint64_t hash = kFnvOffset;
                 for (std::int64_t l = 0; l < config_.numLayers; ++l) {

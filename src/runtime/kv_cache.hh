@@ -97,6 +97,14 @@ class KvCache
      */
     void append(std::int64_t layer, const Tensor &k, const Tensor &v);
 
+    /**
+     * append() from raw rows: @p k and @p v each point at batch() *
+     * @p tokens rows of kvDim floats, laid out (B, T, kvDim) — one
+     * sequence's slice of a ragged batch's projections.
+     */
+    void append(std::int64_t layer, const float *k, const float *v,
+                std::int64_t tokens);
+
     /** Context length currently stored. */
     std::int64_t length() const { return length_; }
 

@@ -31,10 +31,10 @@ synthWeights(const model::ModelConfig &model, std::uint64_t seed)
 
 /**
  * Every backend shares the process-wide kernel pool: the scheduler
- * emits thousands of batch-of-one prefillChunk/decodeOne calls per
- * run, and reusing one set of persistent workers (instead of any
- * per-call spawning) keeps that stream cheap. Non-owning — the shared
- * pool outlives every executor.
+ * emits thousands of prefillChunk/decodeBatch calls per run, and
+ * reusing one set of persistent workers (instead of any per-call
+ * spawning) keeps that stream cheap. Non-owning — the shared pool
+ * outlives every executor.
  */
 std::shared_ptr<base::ThreadPool>
 sharedKernelPool()
@@ -463,6 +463,13 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
         }
     }
 
+    // Decode: every non-speculative entry of the plan advances in one
+    // ragged decodeBatch call (bit-identical to per-entry decodeOne
+    // calls in plan order); speculative entries already ran their
+    // verify pass in speculate().
+    std::vector<std::size_t> batched;
+    std::vector<runtime::KvCache *> caches;
+    std::vector<std::int64_t> feed;
     for (std::size_t i = 0; i < plan.decode.size(); ++i) {
         const std::size_t index = plan.decode[i];
         const Request &request = requests[index];
@@ -510,9 +517,17 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
                    "engine counts ", request.generated,
                    " generated tokens for request ", request.id,
                    " but the backend holds ", seq.outputs.size());
-        const std::int64_t next =
-            executor_.decodeOne(*seq.cache, seq.outputs.back());
-        seq.outputs.push_back(next);
+        batched.push_back(index);
+        caches.push_back(seq.cache.get());
+        feed.push_back(seq.outputs.back());
+    }
+    const std::vector<std::int64_t> next =
+        caches.empty() ? std::vector<std::int64_t>{}
+                       : executor_.decodeBatch(caches, feed);
+    for (std::size_t i = 0; i < batched.size(); ++i) {
+        const Request &request = requests[batched[i]];
+        Sequence &seq = sequence(request.id);
+        seq.outputs.push_back(next[i]);
         ddrBytes_ += perToken;
         ++counters_.decodeSteps;
         LIA_ASSERT(seq.cache->length() ==

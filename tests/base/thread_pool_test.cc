@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "base/thread_pool.hh"
+#include "support/dispatch_counter.hh"
 
 namespace {
 
@@ -72,6 +73,42 @@ TEST(ThreadPoolTest, EmptyAndTinyRangesRunInline)
         ++calls;
     });
     EXPECT_EQ(calls, 1);
+}
+
+TEST(ThreadPoolTest, GrainForSizesChunksToTheMinimumWork)
+{
+    using lia::base::kMinChunkWork;
+    EXPECT_EQ(ThreadPool::grainFor(kMinChunkWork), 1);
+    EXPECT_EQ(ThreadPool::grainFor(2 * kMinChunkWork), 1);
+    EXPECT_EQ(ThreadPool::grainFor(1), kMinChunkWork);
+    EXPECT_EQ(ThreadPool::grainFor(0), kMinChunkWork);
+    EXPECT_EQ(ThreadPool::grainFor(kMinChunkWork - 1), 2);
+    // Rounded up: grainFor(w) items always carry at least the minimum.
+    for (std::int64_t work : {3, 7, 1000, 12345})
+        EXPECT_GE(ThreadPool::grainFor(work) * work, kMinChunkWork);
+}
+
+TEST(ThreadPoolTest, FewerThanTwoGrainsRunInline)
+{
+    ThreadPool pool(4);
+    lia::test::DispatchCounter dispatched(&pool);
+    for (const std::int64_t n : {1, 8, 15}) {
+        int calls = 0;
+        pool.parallelFor(n, 8, [&](std::int64_t b, std::int64_t e) {
+            EXPECT_EQ(b, 0);
+            EXPECT_EQ(e, n);
+            ++calls;
+        });
+        EXPECT_EQ(calls, 1) << n << " items";
+    }
+    EXPECT_EQ(dispatched.count(), 0);
+    // Two whole grains: the loop reaches the workers.
+    std::atomic<std::int64_t> total{0};
+    pool.parallelFor(16, 8, [&](std::int64_t b, std::int64_t e) {
+        total.fetch_add(e - b);
+    });
+    EXPECT_EQ(total.load(), 16);
+    EXPECT_EQ(dispatched.count(), 1);
 }
 
 TEST(ThreadPoolTest, NestedParallelForRunsInlineWithoutDeadlock)

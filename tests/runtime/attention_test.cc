@@ -11,7 +11,11 @@
  * (1 token), speculative verify (k+1) and chunked-prefill shapes, at
  * batch 1 and batch > 1, MHA and GQA head layouts, BF16 rounding on
  * and off, and pools of 1, 2 and 4 threads — including views taken
- * mid-step, which must see the step's pending tokens.
+ * mid-step, which must see the step's pending tokens. Those random
+ * histories are short enough for the pool's work-size rule to run
+ * them inline, so a second class with histories sized from
+ * base::kMinChunkWork must also reach the workers (a DispatchCounter
+ * checks) on the multi-thread pools.
  *
  * Scenario count scales with LIA_PROPERTY_SCENARIOS.
  */
@@ -30,12 +34,14 @@
 #include "model/config.hh"
 #include "runtime/kernels.hh"
 #include "runtime/kv_cache.hh"
+#include "support/dispatch_counter.hh"
 
 namespace {
 
 using namespace lia;
 using namespace lia::runtime;
 using base::ThreadPool;
+using lia::test::DispatchCounter;
 
 std::size_t
 scenarioCount()
@@ -177,46 +183,84 @@ appendHistory(KvCache &cache, const model::ModelConfig &m,
     }
 }
 
-TEST(CachedAttentionProperty, MemcmpEqualsTheComposedKernels)
+/**
+ * One scenario against the composed oracle at every pool, on a view
+ * taken mid-step (layer 0) and after the step (layer 1). With
+ * @p must_dispatch, every call on a multi-thread pool must also have
+ * reached the workers.
+ */
+void
+checkScenario(const Scenario &s, std::size_t n, Rng &rng,
+              bool must_dispatch)
 {
-    Rng rng(0xA77E);
     ThreadPool pool2(2);
     ThreadPool pool4(4);
     ThreadPool *const pools[] = {nullptr, &pool2, &pool4};
-    const std::size_t scenarios = scenarioCount();
-    for (std::size_t n = 0; n < scenarios; ++n) {
-        const Scenario s = randomScenario(n, rng);
-        const model::ModelConfig m =
-            headLayout(s.heads, s.kvHeads, s.headDim);
-        KvCache cache(m, s.batch, s.history + s.tokens + 3);
-        appendHistory(cache, m, s.history, rng);
-        const Tensor q = Tensor::randomNormal(
-            {s.batch * s.tokens, s.heads * s.headDim}, rng, 1.0);
+    const model::ModelConfig m = headLayout(s.heads, s.kvHeads, s.headDim);
+    KvCache cache(m, s.batch, s.history + s.tokens + 3);
+    appendHistory(cache, m, s.history, rng);
+    const Tensor q = Tensor::randomNormal(
+        {s.batch * s.tokens, s.heads * s.headDim}, rng, 1.0);
 
-        // Layer 0 mid-step (layer 1 not yet appended), then layer 1
-        // once the step has completed.
-        for (std::int64_t l = 0; l < m.numLayers; ++l) {
-            cache.append(l, randomKv(s.batch, s.tokens, m.kvDim(), rng),
-                         randomKv(s.batch, s.tokens, m.kvDim(), rng));
-            const KvView view = cache.view(l);
-            ASSERT_EQ(view.length, s.history + s.tokens);
-            for (bool bf16 : {true, false}) {
-                const Tensor want =
-                    composedAttention(q, cache, l, m, s.tokens, bf16);
-                for (ThreadPool *pool : pools) {
-                    const Tensor got = cachedAttention(
-                        q, view, s.heads, s.tokens,
-                        KernelOptions{bf16, pool});
-                    ASSERT_TRUE(bitIdentical(got, want))
-                        << "scenario " << n << " layer " << l
-                        << " heads " << s.heads << "/" << s.kvHeads
-                        << " dh " << s.headDim << " batch " << s.batch
-                        << " history " << s.history << " tokens "
-                        << s.tokens << " bf16 " << bf16 << " threads "
-                        << (pool ? pool->threadCount() : 1);
+    // Layer 0 mid-step (layer 1 not yet appended), then layer 1
+    // once the step has completed.
+    for (std::int64_t l = 0; l < m.numLayers; ++l) {
+        cache.append(l, randomKv(s.batch, s.tokens, m.kvDim(), rng),
+                     randomKv(s.batch, s.tokens, m.kvDim(), rng));
+        const KvView view = cache.view(l);
+        ASSERT_EQ(view.length, s.history + s.tokens);
+        for (bool bf16 : {true, false}) {
+            const Tensor want =
+                composedAttention(q, cache, l, m, s.tokens, bf16);
+            for (ThreadPool *pool : pools) {
+                DispatchCounter dispatched(pool);
+                const Tensor got = cachedAttention(
+                    q, view, s.heads, s.tokens, KernelOptions{bf16, pool});
+                const int threads = pool ? pool->threadCount() : 1;
+                ASSERT_TRUE(bitIdentical(got, want))
+                    << "scenario " << n << " layer " << l << " heads "
+                    << s.heads << "/" << s.kvHeads << " dh "
+                    << s.headDim << " batch " << s.batch << " history "
+                    << s.history << " tokens " << s.tokens << " bf16 "
+                    << bf16 << " threads " << threads;
+                if (must_dispatch && threads > 1) {
+                    EXPECT_GT(dispatched.count(), 0)
+                        << "scenario " << n << " ran inline at "
+                        << threads << " threads";
                 }
             }
         }
+    }
+}
+
+TEST(CachedAttentionProperty, MemcmpEqualsTheComposedKernels)
+{
+    Rng rng(0xA77E);
+    const std::size_t scenarios = scenarioCount();
+    for (std::size_t n = 0; n < scenarios; ++n)
+        checkScenario(randomScenario(n, rng), n, rng, false);
+}
+
+TEST(CachedAttentionProperty, AboveThresholdHistoriesDispatchAndMatch)
+{
+    // Each (batch, head) pair costs 2 * tokens * len * headDim MACs:
+    // size the history so one pair is a whole base::kMinChunkWork
+    // chunk, and with at least four pairs the loop must dispatch.
+    Rng rng(0xB16A);
+    const std::size_t scenarios = scenarioCount() / 30 + 3;
+    for (std::size_t n = 0; n < scenarios; ++n) {
+        Scenario s;
+        s.heads = 4;
+        s.kvHeads = rng.bernoulli(0.5) ? 4 : 2;
+        s.headDim = 16;
+        s.batch = rng.uniformInt(1, 2);
+        s.tokens = rng.uniformInt(9, 40);  // chunk-shaped steps
+        const std::int64_t len =
+            (base::kMinChunkWork + 2 * s.tokens * s.headDim - 1) /
+            (2 * s.tokens * s.headDim);
+        s.history = std::max<std::int64_t>(1, len - s.tokens) +
+                    rng.uniformInt(0, 16);
+        checkScenario(s, n, rng, true);
     }
 }
 

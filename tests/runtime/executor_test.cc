@@ -14,6 +14,7 @@
 #include "hw/system.hh"
 #include "model/sublayer.hh"
 #include "runtime/executor.hh"
+#include "support/dispatch_counter.hh"
 
 namespace {
 
@@ -311,6 +312,23 @@ TEST_F(ExecutorTest, DecodeBeforePrefillPanics)
     CooperativeExecutor exec(sys, weights(), {});
     EXPECT_THROW(exec.decodeStep({1, 2}), std::logic_error);
     detail::setThrowOnError(false);
+}
+
+TEST_F(ExecutorTest, TinyDecodeOneNeverWakesThePool)
+{
+    // Every kernel of a tiny-OPT decode step is far below the pool's
+    // work-size rule (base::kMinChunkWork), so decodeOne on a 2-thread
+    // pool must run wholly on the caller — up to the context window.
+    auto pool = std::make_shared<base::ThreadPool>(2);
+    ExecutorConfig cfg;
+    cfg.pool = pool;
+    CooperativeExecutor exec(sys, weights(), cfg);
+    KvCache cache(m, 1, m.maxSeqLen);
+    std::int64_t token = exec.prefillChunk(cache, prompts(1).front());
+    test::DispatchCounter dispatched(pool.get());
+    while (cache.length() < m.maxSeqLen)
+        token = exec.decodeOne(cache, token);
+    EXPECT_EQ(dispatched.count(), 0);
 }
 
 TEST(SimDeviceTest, AllocationTracksCapacity)

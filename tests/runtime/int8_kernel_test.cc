@@ -18,6 +18,11 @@
  * the int8 grid changes numerics by design, so accuracy is checked
  * separately with a tolerance.
  *
+ * Those random shapes sit below the pool's work-size rule and run
+ * inline; a second class sized from base::kMinChunkWork must also
+ * reach the workers on every multi-thread pool (a DispatchCounter
+ * checks), so the parallel int8 paths stay under test.
+ *
  * Scenario count scales with LIA_PROPERTY_SCENARIOS like the fp32
  * suite.
  */
@@ -34,12 +39,14 @@
 #include "base/rng.hh"
 #include "base/thread_pool.hh"
 #include "runtime/kernels.hh"
+#include "support/dispatch_counter.hh"
 
 namespace {
 
 using namespace lia;
 using namespace lia::runtime;
 using base::ThreadPool;
+using lia::test::DispatchCounter;
 
 std::size_t
 shapeCount()
@@ -248,6 +255,54 @@ TEST(Int8KernelProperty, MatchesScalarInt8ReferenceBitForBit)
                 bitIdentical(matmulInt8(a, packed, bias, opts), ref))
                 << "matmulInt8 " << m << "x" << k << "x" << n << " at "
                 << threads << " threads";
+        }
+    }
+}
+
+TEST(Int8KernelProperty, AboveThresholdShapesDispatchAndMatchBitForBit)
+{
+    // k and a ragged n sized so the tile partition holds at least two
+    // chunks of base::kMinChunkWork even at m = 1 (a tile then costs
+    // 8 * padded k MACs): both the fused GEMV and the GEMM block path
+    // must reach the workers.
+    const auto pools = contractPools();
+    std::mt19937_64 gen(20260115);
+    std::uniform_int_distribution<int> coin(0, 1);
+    std::uniform_int_distribution<std::int64_t> mBig(4, 16);
+    std::uniform_int_distribution<std::int64_t> kBig(301, 421);
+    std::uniform_int_distribution<std::int64_t> tail(1, 90);
+
+    const std::size_t shapes = shapeCount() / 20 + 6;
+    for (std::size_t it = 0; it < shapes; ++it) {
+        const std::int64_t m = it % 3 == 0 ? 1 : it % 3 == 1 ? 3
+                                                            : mBig(gen);
+        const std::int64_t k = kBig(gen);
+        const std::int64_t n =
+            2 * ((base::kMinChunkWork + k - 1) / k) + 16 + tail(gen);
+        Rng rng(static_cast<std::uint64_t>(13000 + it));
+        const Tensor a = Tensor::randomNormal({m, k}, rng, 1.0);
+        const Tensor b = Tensor::randomNormal({k, n}, rng, 1.0);
+        Tensor bias;
+        if (coin(gen))
+            bias = Tensor::randomNormal({n}, rng, 1.0);
+        const bool round = coin(gen) != 0;
+        const PackedInt8Matrix packed = packColumnsInt8(b);
+
+        const Tensor ref =
+            scalarMatmulInt8(a, packed, bias, {round, nullptr});
+        for (const auto &pool : pools) {
+            const KernelOptions opts{round, pool.get()};
+            const int threads = pool ? pool->threadCount() : 0;
+            DispatchCounter dispatched(pool.get());
+            ASSERT_TRUE(
+                bitIdentical(matmulInt8(a, packed, bias, opts), ref))
+                << "matmulInt8 " << m << "x" << k << "x" << n << " at "
+                << threads << " threads";
+            if (threads > 1) {
+                EXPECT_GT(dispatched.count(), 0)
+                    << "matmulInt8 " << m << "x" << k << "x" << n
+                    << " ran inline at " << threads << " threads";
+            }
         }
     }
 }

@@ -12,6 +12,11 @@
  * kernels get the same treatment, and a full greedy decode across
  * executors pinned to different pools must emit identical tokens.
  *
+ * The random shapes are small, so the pool's work-size rule runs them
+ * inline; a second class of shapes is sized from base::kMinChunkWork
+ * so every kernel partition holds at least two chunks, and a
+ * DispatchCounter proves those calls really reached the workers.
+ *
  * Scenario count scales with LIA_PROPERTY_SCENARIOS (the nightly CI
  * job raises it past the default ~200 shapes).
  */
@@ -30,12 +35,14 @@
 #include "model/config.hh"
 #include "runtime/executor.hh"
 #include "runtime/kernels.hh"
+#include "support/dispatch_counter.hh"
 
 namespace {
 
 using namespace lia;
 using namespace lia::runtime;
 using base::ThreadPool;
+using lia::test::DispatchCounter;
 
 std::size_t
 shapeCount()
@@ -102,57 +109,180 @@ randomShape(std::mt19937_64 &gen)
     return s;
 }
 
+/**
+ * Shapes above the work-size rule: k and a ragged n sized from
+ * base::kMinChunkWork so that the narrowest partition of every GEMM
+ * kernel (one output column of one row, k MACs) holds at least two
+ * chunks — each kernel call must dispatch on a multi-thread pool.
+ */
+GemmShape
+bigShape(std::mt19937_64 &gen)
+{
+    std::uniform_int_distribution<int> mKind(0, 2);
+    std::uniform_int_distribution<std::int64_t> mBig(4, 16);
+    std::uniform_int_distribution<std::int64_t> kBig(300, 420);
+    std::uniform_int_distribution<std::int64_t> tail(1, 90);
+    GemmShape s;
+    switch (mKind(gen)) {
+    case 0: s.m = 1; break;                    // decode
+    case 1: s.m = 3; break;                    // skinny column split
+    default: s.m = mBig(gen); break;
+    }
+    s.k = kBig(gen);
+    s.n = 2 * ((base::kMinChunkWork + s.k - 1) / s.k) + 16 + tail(gen);
+    return s;
+}
+
+/**
+ * Every GEMM kernel on shape @p s against the scalar references at
+ * every contract pool; with @p must_dispatch, each call on a
+ * multi-thread pool must also have reached the workers.
+ */
+void
+checkGemms(const GemmShape &s, std::size_t it, std::mt19937_64 &gen,
+           const std::vector<std::shared_ptr<ThreadPool>> &pools,
+           bool must_dispatch)
+{
+    std::uniform_int_distribution<int> coin(0, 1);
+    Rng rng(static_cast<std::uint64_t>(1000 + it));
+    const Tensor a = Tensor::randomNormal({s.m, s.k}, rng, 1.0);
+    const Tensor b = Tensor::randomNormal({s.k, s.n}, rng, 1.0);
+    const Tensor bt = [&] {
+        Tensor t({s.n, s.k});
+        for (std::int64_t i = 0; i < s.n; ++i)
+            for (std::int64_t c = 0; c < s.k; ++c)
+                t.data()[i * s.k + c] = b.data()[c * s.n + i];
+        return t;
+    }();
+    Tensor bias;
+    if (coin(gen)) {
+        Rng brng(static_cast<std::uint64_t>(5000 + it));
+        bias = Tensor::randomNormal({s.n}, brng, 1.0);
+    }
+    const bool round = coin(gen) != 0;
+
+    const KernelOptions serial{round, nullptr};
+    const Tensor ref = scalarMatmul(a, b, bias, serial);
+    const Tensor refT = scalarMatmulTransposed(a, bt, serial);
+    const PackedMatrix packed = packColumns(b);
+    const PackedMatrix packedT = packTransposed(bt);
+
+    for (const auto &pool : pools) {
+        const KernelOptions opts{round, pool.get()};
+        const int threads = pool ? pool->threadCount() : 0;
+        DispatchCounter dispatched(pool.get());
+        const bool expect = must_dispatch && threads > 1;
+        const auto dispatchedOnce = [&] {
+            const bool ok = !expect || dispatched.count() > 0;
+            dispatched.reset();
+            return ok;
+        };
+        ASSERT_TRUE(bitIdentical(matmul(a, b, bias, opts), ref))
+            << "matmul " << s.m << "x" << s.k << "x" << s.n
+            << " at " << threads << " threads";
+        EXPECT_TRUE(dispatchedOnce()) << "matmul ran inline";
+        ASSERT_TRUE(
+            bitIdentical(matmulPacked(a, packed, bias, opts), ref))
+            << "matmulPacked " << s.m << "x" << s.k << "x" << s.n
+            << " at " << threads << " threads";
+        EXPECT_TRUE(dispatchedOnce()) << "matmulPacked ran inline";
+        ASSERT_TRUE(
+            bitIdentical(matmulPacked(a, packedT, bias, opts), ref))
+            << "matmulPacked(transposed pack) " << s.m << "x" << s.k
+            << "x" << s.n << " at " << threads << " threads";
+        EXPECT_TRUE(dispatchedOnce())
+            << "matmulPacked(transposed pack) ran inline";
+        ASSERT_TRUE(bitIdentical(matmulTransposed(a, bt, opts), refT))
+            << "matmulTransposed " << s.m << "x" << s.k << "x" << s.n
+            << " at " << threads << " threads";
+        EXPECT_TRUE(dispatchedOnce()) << "matmulTransposed ran inline";
+    }
+}
+
 TEST(KernelParallelProperty, GemmsMatchScalarReferenceBitForBit)
 {
     const auto pools = contractPools();
     std::mt19937_64 gen(20250806);
-    std::uniform_int_distribution<int> coin(0, 1);
-
     const std::size_t shapes = shapeCount();
-    for (std::size_t it = 0; it < shapes; ++it) {
-        const GemmShape s = randomShape(gen);
-        Rng rng(static_cast<std::uint64_t>(1000 + it));
-        const Tensor a = Tensor::randomNormal({s.m, s.k}, rng, 1.0);
-        const Tensor b = Tensor::randomNormal({s.k, s.n}, rng, 1.0);
-        const Tensor bt = [&] {
-            Tensor t({s.n, s.k});
-            for (std::int64_t i = 0; i < s.n; ++i)
-                for (std::int64_t c = 0; c < s.k; ++c)
-                    t.at(i, c) = b.at(c, i);
-            return t;
-        }();
-        Tensor bias;
-        if (coin(gen)) {
-            Rng brng(static_cast<std::uint64_t>(5000 + it));
-            bias = Tensor::randomNormal({s.n}, brng, 1.0);
-        }
-        const bool round = coin(gen) != 0;
+    for (std::size_t it = 0; it < shapes; ++it)
+        checkGemms(randomShape(gen), it, gen, pools, false);
+}
 
-        const KernelOptions serial{round, nullptr};
-        const Tensor ref = scalarMatmul(a, b, bias, serial);
-        const Tensor refT = scalarMatmulTransposed(a, bt, serial);
-        const PackedMatrix packed = packColumns(b);
-        const PackedMatrix packedT = packTransposed(bt);
+TEST(KernelParallelProperty, AboveThresholdGemmsDispatchAndMatchBitForBit)
+{
+    const auto pools = contractPools();
+    std::mt19937_64 gen(20260114);
+    const std::size_t shapes = shapeCount() / 20 + 6;
+    for (std::size_t it = 0; it < shapes; ++it)
+        checkGemms(bigShape(gen), 100000 + it, gen, pools, true);
+}
 
-        for (const auto &pool : pools) {
-            const KernelOptions opts{round, pool.get()};
-            const int threads = pool ? pool->threadCount() : 0;
-            ASSERT_TRUE(bitIdentical(matmul(a, b, bias, opts), ref))
-                << "matmul " << s.m << "x" << s.k << "x" << s.n
-                << " at " << threads << " threads";
-            ASSERT_TRUE(
-                bitIdentical(matmulPacked(a, packed, bias, opts), ref))
-                << "matmulPacked " << s.m << "x" << s.k << "x" << s.n
-                << " at " << threads << " threads";
-            ASSERT_TRUE(
-                bitIdentical(matmulPacked(a, packedT, bias, opts), ref))
-                << "matmulPacked(transposed pack) " << s.m << "x" << s.k
-                << "x" << s.n << " at " << threads << " threads";
-            ASSERT_TRUE(
-                bitIdentical(matmulTransposed(a, bt, opts), refT))
-                << "matmulTransposed " << s.m << "x" << s.k << "x"
-                << s.n << " at " << threads << " threads";
-        }
+/**
+ * The row-wise and elementwise kernels on an (m, n) input at every
+ * multi-thread contract pool against the serial path; with
+ * @p must_dispatch, each call must also have reached the workers.
+ */
+void
+checkRowKernels(std::int64_t m, std::int64_t n, std::int64_t offset,
+                std::size_t it,
+                const std::vector<std::shared_ptr<ThreadPool>> &pools,
+                bool must_dispatch)
+{
+    Rng rng(static_cast<std::uint64_t>(9000 + it));
+    const Tensor x = Tensor::randomNormal({m, n}, rng, 2.0);
+    const Tensor g = Tensor::randomNormal({n}, rng, 1.0);
+    const Tensor bb = Tensor::randomNormal({n}, rng, 1.0);
+    const Tensor other = Tensor::randomNormal({m, n}, rng, 1.0);
+
+    const KernelOptions serial{true, nullptr};
+    const Tensor ln_ref = layerNorm(x, g, bb, serial);
+    Tensor sm_ref = x.clone();
+    softmaxRows(sm_ref, serial);
+    Tensor csm_ref = x.clone();
+    causalSoftmaxRows(csm_ref, offset, serial);
+    Tensor relu_ref = x.clone();
+    reluInPlace(relu_ref, serial);
+    Tensor silu_ref = x.clone();
+    siluInPlace(silu_ref, serial);
+    Tensor mul_ref = x.clone();
+    mulInPlace(mul_ref, other, serial);
+    const Tensor add_ref = add(x, other, serial);
+
+    for (const auto &pool : pools) {
+        if (!pool)
+            continue;
+        const KernelOptions opts{true, pool.get()};
+        DispatchCounter dispatched(pool.get());
+        const bool expect = must_dispatch && pool->threadCount() > 1;
+        const auto dispatchedOnce = [&] {
+            const bool ok = !expect || dispatched.count() > 0;
+            dispatched.reset();
+            return ok;
+        };
+        ASSERT_TRUE(bitIdentical(layerNorm(x, g, bb, opts), ln_ref));
+        EXPECT_TRUE(dispatchedOnce()) << "layerNorm ran inline";
+        Tensor sm = x.clone();
+        softmaxRows(sm, opts);
+        ASSERT_TRUE(bitIdentical(sm, sm_ref));
+        EXPECT_TRUE(dispatchedOnce()) << "softmaxRows ran inline";
+        Tensor csm = x.clone();
+        causalSoftmaxRows(csm, offset, opts);
+        ASSERT_TRUE(bitIdentical(csm, csm_ref));
+        EXPECT_TRUE(dispatchedOnce()) << "causalSoftmaxRows ran inline";
+        Tensor relu = x.clone();
+        reluInPlace(relu, opts);
+        ASSERT_TRUE(bitIdentical(relu, relu_ref));
+        EXPECT_TRUE(dispatchedOnce()) << "reluInPlace ran inline";
+        Tensor silu = x.clone();
+        siluInPlace(silu, opts);
+        ASSERT_TRUE(bitIdentical(silu, silu_ref));
+        EXPECT_TRUE(dispatchedOnce()) << "siluInPlace ran inline";
+        Tensor mul = x.clone();
+        mulInPlace(mul, other, opts);
+        ASSERT_TRUE(bitIdentical(mul, mul_ref));
+        EXPECT_TRUE(dispatchedOnce()) << "mulInPlace ran inline";
+        ASSERT_TRUE(bitIdentical(add(x, other, opts), add_ref));
+        EXPECT_TRUE(dispatchedOnce()) << "add ran inline";
     }
 }
 
@@ -167,49 +297,25 @@ TEST(KernelParallelProperty, RowAndElementwiseKernelsMatchSerial)
     const std::size_t iters = shapeCount() / 4 + 8;
     for (std::size_t it = 0; it < iters; ++it) {
         const std::int64_t m = rows(gen), n = cols(gen);
-        Rng rng(static_cast<std::uint64_t>(9000 + it));
-        const Tensor x = Tensor::randomNormal({m, n}, rng, 2.0);
-        const Tensor g = Tensor::randomNormal({n}, rng, 1.0);
-        const Tensor bb = Tensor::randomNormal({n}, rng, 1.0);
-        const Tensor other = Tensor::randomNormal({m, n}, rng, 1.0);
-        const std::int64_t offset = off(gen);
+        checkRowKernels(m, n, off(gen), it, pools, false);
+    }
+}
 
-        const KernelOptions serial{true, nullptr};
-        const Tensor ln_ref = layerNorm(x, g, bb, serial);
-        Tensor sm_ref = x.clone();
-        softmaxRows(sm_ref, serial);
-        Tensor csm_ref = x.clone();
-        causalSoftmaxRows(csm_ref, offset, serial);
-        Tensor relu_ref = x.clone();
-        reluInPlace(relu_ref, serial);
-        Tensor silu_ref = x.clone();
-        siluInPlace(silu_ref, serial);
-        Tensor mul_ref = x.clone();
-        mulInPlace(mul_ref, other, serial);
-        const Tensor add_ref = add(x, other, serial);
-
-        for (const auto &pool : pools) {
-            if (!pool)
-                continue;
-            const KernelOptions opts{true, pool.get()};
-            ASSERT_TRUE(bitIdentical(layerNorm(x, g, bb, opts), ln_ref));
-            Tensor sm = x.clone();
-            softmaxRows(sm, opts);
-            ASSERT_TRUE(bitIdentical(sm, sm_ref));
-            Tensor csm = x.clone();
-            causalSoftmaxRows(csm, offset, opts);
-            ASSERT_TRUE(bitIdentical(csm, csm_ref));
-            Tensor relu = x.clone();
-            reluInPlace(relu, opts);
-            ASSERT_TRUE(bitIdentical(relu, relu_ref));
-            Tensor silu = x.clone();
-            siluInPlace(silu, opts);
-            ASSERT_TRUE(bitIdentical(silu, silu_ref));
-            Tensor mul = x.clone();
-            mulInPlace(mul, other, opts);
-            ASSERT_TRUE(bitIdentical(mul, mul_ref));
-            ASSERT_TRUE(bitIdentical(add(x, other, opts), add_ref));
-        }
+TEST(KernelParallelProperty, AboveThresholdRowKernelsDispatchAndMatchSerial)
+{
+    // Rows of n elements, and enough of them that both the row
+    // partition (n per row) and the element partition hold at least
+    // two chunks of base::kMinChunkWork.
+    const auto pools = contractPools();
+    std::mt19937_64 gen(78);
+    std::uniform_int_distribution<std::int64_t> cols(200, 400);
+    std::uniform_int_distribution<std::int64_t> tail(0, 20);
+    std::uniform_int_distribution<std::int64_t> off(0, 8);
+    for (std::size_t it = 0; it < 4; ++it) {
+        const std::int64_t n = cols(gen);
+        const std::int64_t m =
+            2 * ((base::kMinChunkWork + n - 1) / n) + tail(gen);
+        checkRowKernels(m, n, off(gen), 50000 + it, pools, true);
     }
 }
 
