@@ -8,16 +8,16 @@
  * and FlexGen baselines — the situation of a user-facing assistant
  * where every query's response time matters.
  *
- * Also cross-checks the two serving models at B = 1: the legacy
- * M/G/1 queue (whole-request service times) against the new
- * continuous-batching engine capped at batch 1 (iteration-priced)
- * on the identical arrival sequence.
+ * Then serves a Poisson stream of code-trace requests through the
+ * continuous-batching engine capped at batch 1 (iteration-priced),
+ * the B = 1 serial server of the online scenario, and reports its
+ * utilisation and response times.
  *
  * Usage: online_serving [num_requests] [seed]
  *                       [--trace-out trace.json]
  *                       [--metrics-out metrics.prom]
  *
- * --trace-out records the B = 1 serving-engine cross-check run as a
+ * --trace-out records the B = 1 serving-engine run as a
  * Chrome-trace / Perfetto JSON timeline; --metrics-out writes that
  * run's Prometheus text exposition (DESIGN.md §13). Instrumentation
  * never changes the metrics (DESIGN.md §8).
@@ -36,7 +36,6 @@
 #include "serve/engine.hh"
 #include "serve/metrics.hh"
 #include "serve/prom.hh"
-#include "sim/serving.hh"
 #include "trace/azure.hh"
 
 int
@@ -46,15 +45,9 @@ main(int argc, char **argv)
     using core::Scenario;
 
     const ArgParser args(argc, argv);
-    const auto &pos = args.positional();
-    const std::size_t requests =
-        pos.size() > 0
-            ? static_cast<std::size_t>(std::atoll(pos[0].c_str()))
-            : 40;
-    const std::uint64_t seed =
-        pos.size() > 1
-            ? static_cast<std::uint64_t>(std::atoll(pos[1].c_str()))
-            : 7;
+    const auto requests =
+        static_cast<std::size_t>(args.positionalInt(0, 40));
+    const auto seed = static_cast<std::uint64_t>(args.positionalInt(1, 7));
     const std::string trace_out = args.getString("trace-out");
     const std::string metrics_out = args.getString("metrics-out");
 
@@ -97,25 +90,8 @@ main(int argc, char **argv)
                  "crossover);\nprefill moves to the GPU once "
                  "L_in crosses the compute-intensity boundary.\n";
 
-    // --- Cross-check: M/G/1 queue vs serving engine at B = 1 --------
-    //
-    // Same seed => same Poisson arrival sequence and trace shapes.
-    // The legacy queue serves whole requests (engine.estimate); the
-    // serving engine prices prefill + per-token decode iterations.
-    // At batch 1 the two must agree closely on the response-time
-    // distribution.
+    // --- The same deployment as a B = 1 serving queue ---------------
     const double rate = 1.5 / 60.0;  // 1.5 arrivals/min
-
-    sim::ServingConfig legacy_cfg;
-    legacy_cfg.arrivalRatePerSecond = rate;
-    legacy_cfg.requests = requests;
-    legacy_cfg.trace = trace::TraceKind::Code;
-    legacy_cfg.maxContext = m.maxSeqLen;
-    legacy_cfg.seed = seed;
-    const auto legacy = sim::simulateServing(
-        legacy_cfg, [&lia](const trace::Request &r) {
-            return lia.estimate(Scenario{1, r.lIn, r.lOut}).latency();
-        });
 
     obs::ChromeTraceWriter trace;
     serve::Config serve_cfg;
@@ -130,28 +106,18 @@ main(int argc, char **argv)
     if (!trace_out.empty())
         serve_cfg.sink = &trace;
     serve::ServingEngine engine(sys, m, serve_cfg);
-    const auto modern = engine.run();
+    const auto served = engine.run();
 
-    std::cout << "\nSanity cross-check at B=1, "
-              << fmtDouble(rate * 60.0, 1)
-              << " arrivals/min (identical arrival sequence):\n";
-    TextTable check({"serving model", "util", "mean resp", "p50 resp",
+    std::cout << "\nServing queue at B=1, "
+              << fmtDouble(rate * 60.0, 1) << " arrivals/min:\n";
+    TextTable queue({"serving model", "util", "mean resp", "p50 resp",
                      "p95 resp"});
-    check.addRow({"M/G/1 queue (legacy)",
-                  fmtPercent(legacy.utilisation),
-                  fmtSeconds(legacy.responseTime.mean()),
-                  fmtSeconds(legacy.responseTime.p50()),
-                  fmtSeconds(legacy.responseTime.p95())});
-    check.addRow({"serve engine, maxBatch=1",
-                  fmtPercent(modern.metrics.utilisation()),
-                  fmtSeconds(modern.metrics.responseTime.mean()),
-                  fmtSeconds(modern.metrics.responseTime.p50()),
-                  fmtSeconds(modern.metrics.responseTime.p95())});
-    check.print(std::cout);
-    std::cout << "\nThe two agree to within the iteration-pricing "
-                 "bucket granularity — the\ncontinuous-batching "
-                 "engine degenerates to the M/G/1 queue at "
-                 "batch 1.\n";
+    queue.addRow({"serve engine, maxBatch=1",
+                  fmtPercent(served.metrics.utilisation()),
+                  fmtSeconds(served.metrics.responseTime.mean()),
+                  fmtSeconds(served.metrics.responseTime.p50()),
+                  fmtSeconds(served.metrics.responseTime.p95())});
+    queue.print(std::cout);
 
     if (!trace_out.empty()) {
         if (trace.writeFile(trace_out))
@@ -165,7 +131,7 @@ main(int argc, char **argv)
         }
     }
     if (!metrics_out.empty()) {
-        if (serve::writePrometheusFile(metrics_out, modern.metrics))
+        if (serve::writePrometheusFile(metrics_out, served.metrics))
             std::cout << "Wrote Prometheus metrics to " << metrics_out
                       << "\n";
         else {

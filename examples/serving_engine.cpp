@@ -49,17 +49,11 @@ main(int argc, char **argv)
     using namespace lia;
 
     const ArgParser args(argc, argv);
-    const auto &pos = args.positional();
-    const std::size_t requests =
-        pos.size() > 0
-            ? static_cast<std::size_t>(std::atoll(pos[0].c_str()))
-            : 120;
-    const double per_minute =
-        pos.size() > 1 ? std::atof(pos[1].c_str()) : 30.0;
-    const std::uint64_t seed =
-        pos.size() > 2
-            ? static_cast<std::uint64_t>(std::atoll(pos[2].c_str()))
-            : 1;
+    const auto requests =
+        static_cast<std::size_t>(args.positionalInt(0, 120));
+    const double per_minute = args.positionalDouble(1, 30.0);
+    const auto seed =
+        static_cast<std::uint64_t>(args.positionalInt(2, 1));
     const std::string trace_out = args.getString("trace-out");
     const std::string series_out = args.getString("series-out");
     const std::string metrics_out = args.getString("metrics-out");

@@ -1,10 +1,43 @@
 #include "base/args.hh"
 
+#include <cerrno>
 #include <cstdlib>
 
 #include "base/logging.hh"
 
 namespace lia {
+
+namespace {
+
+/** Parse all of @p text as a base-10 integer; fatal otherwise. */
+std::int64_t
+parseInt(const std::string &what, const std::string &text)
+{
+    char *end = nullptr;
+    errno = 0;
+    const long long value = std::strtoll(text.c_str(), &end, 10);
+    if (end == text.c_str() || *end != '\0')
+        LIA_FATAL(what, " expects an integer, got '", text, "'");
+    if (errno == ERANGE)
+        LIA_FATAL(what, " is out of range: '", text, "'");
+    return value;
+}
+
+/** Parse all of @p text as a floating-point value; fatal otherwise. */
+double
+parseDouble(const std::string &what, const std::string &text)
+{
+    char *end = nullptr;
+    errno = 0;
+    const double value = std::strtod(text.c_str(), &end);
+    if (end == text.c_str() || *end != '\0')
+        LIA_FATAL(what, " expects a number, got '", text, "'");
+    if (errno == ERANGE)
+        LIA_FATAL(what, " is out of range: '", text, "'");
+    return value;
+}
+
+} // namespace
 
 ArgParser::ArgParser(int argc, const char *const *argv)
 {
@@ -53,7 +86,7 @@ ArgParser::getInt(const std::string &name, std::int64_t fallback) const
     const auto it = options_.find(name);
     if (it == options_.end() || it->second.empty())
         return fallback;
-    return std::strtoll(it->second.c_str(), nullptr, 10);
+    return parseInt("--" + name, it->second);
 }
 
 double
@@ -62,7 +95,25 @@ ArgParser::getDouble(const std::string &name, double fallback) const
     const auto it = options_.find(name);
     if (it == options_.end() || it->second.empty())
         return fallback;
-    return std::strtod(it->second.c_str(), nullptr);
+    return parseDouble("--" + name, it->second);
+}
+
+std::int64_t
+ArgParser::positionalInt(std::size_t i, std::int64_t fallback) const
+{
+    if (i >= positional_.size())
+        return fallback;
+    return parseInt("argument " + std::to_string(i + 1),
+                    positional_[i]);
+}
+
+double
+ArgParser::positionalDouble(std::size_t i, double fallback) const
+{
+    if (i >= positional_.size())
+        return fallback;
+    return parseDouble("argument " + std::to_string(i + 1),
+                       positional_[i]);
 }
 
 } // namespace lia

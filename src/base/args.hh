@@ -3,8 +3,11 @@
  * Minimal command-line argument parsing for the examples and tools.
  *
  * Supports `--flag`, `--key value`, and `--key=value` forms plus
- * positional arguments, with typed accessors and defaults. Small by
- * design — just enough for reproducible tool invocations.
+ * positional arguments, with typed accessors and defaults. A numeric
+ * value that does not parse completely, or that is out of range, is
+ * a user error: the typed accessors exit through LIA_FATAL naming
+ * the argument. Small by design — just enough for reproducible tool
+ * invocations.
  */
 
 #ifndef LIA_BASE_ARGS_HH
@@ -30,12 +33,25 @@ class ArgParser
     std::string getString(const std::string &name,
                           const std::string &fallback = "") const;
 
-    /** Integer option value or @p fallback. */
+    /** Integer option value, or @p fallback when absent or empty. */
     std::int64_t getInt(const std::string &name,
                         std::int64_t fallback) const;
 
-    /** Floating-point option value or @p fallback. */
+    /** Floating-point option value, or @p fallback when absent or empty. */
     double getDouble(const std::string &name, double fallback) const;
+
+    /**
+     * The @p i-th positional argument as an integer, or @p fallback
+     * when there are not that many.
+     */
+    std::int64_t positionalInt(std::size_t i,
+                               std::int64_t fallback) const;
+
+    /**
+     * The @p i-th positional argument as a floating-point value, or
+     * @p fallback when there are not that many.
+     */
+    double positionalDouble(std::size_t i, double fallback) const;
 
     /** Positional arguments in order. */
     const std::vector<std::string> &positional() const

@@ -1,7 +1,6 @@
 #include "base/stats.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "base/logging.hh"
 
@@ -11,14 +10,8 @@ void
 SampleStats::add(double value)
 {
     samples_.push_back(value);
+    sum_ += value;
     sorted_ = samples_.size() <= 1;
-}
-
-void
-SampleStats::add(const std::vector<double> &values)
-{
-    for (double v : values)
-        add(v);
 }
 
 void
@@ -28,6 +21,7 @@ SampleStats::merge(const SampleStats &other)
         return;
     samples_.insert(samples_.end(), other.samples_.begin(),
                     other.samples_.end());
+    sum_ += other.sum_;
     sorted_ = samples_.size() <= 1;
 }
 
@@ -35,10 +29,7 @@ double
 SampleStats::mean() const
 {
     LIA_ASSERT(!empty(), "no samples");
-    double sum = 0;
-    for (double v : samples_)
-        sum += v;
-    return sum / static_cast<double>(samples_.size());
+    return sum_ / static_cast<double>(samples_.size());
 }
 
 double
@@ -53,17 +44,6 @@ SampleStats::max() const
 {
     LIA_ASSERT(!empty(), "no samples");
     return *std::max_element(samples_.begin(), samples_.end());
-}
-
-double
-SampleStats::stddev() const
-{
-    LIA_ASSERT(!empty(), "no samples");
-    const double m = mean();
-    double sq = 0;
-    for (double v : samples_)
-        sq += (v - m) * (v - m);
-    return std::sqrt(sq / static_cast<double>(samples_.size()));
 }
 
 void

@@ -2,20 +2,11 @@
  * @file
  * Summary statistics over sample sets.
  *
- * Used by the serving-queue simulation and the examples to report
- * latency distributions (mean / percentiles / extremes) the way the
- * paper's latency-driven scenarios are judged.
- *
- * Division of labour with base/statistics.hh (the two are deliberately
- * separate, not redundant): SampleStats here is an anonymous
- * *distribution* accumulator — it keeps every sample so it can answer
- * order-statistic queries (p50/p95/p99), and is the value type used by
- * serve::Metrics and obs::KernelProfiler. stats::Scalar/Formula/Vector
- * over there are *named, registered* counters in the gem5 stats.txt
- * idiom — O(1) state, no samples retained, no percentiles — dumped as
- * a labelled report via stats::Group. Percentile math lives only here;
- * anything needing a distribution should hold a SampleStats (and may
- * register derived values as a stats::Formula for the dump).
+ * Used by serve::Metrics, obs::KernelProfiler and the examples to
+ * report latency distributions (mean / percentiles / extremes) the
+ * way the paper's latency-driven scenarios are judged. SampleStats
+ * keeps every sample so it can answer order-statistic queries
+ * (p50/p95/p99); percentile math lives only here.
  */
 
 #ifndef LIA_BASE_STATS_HH
@@ -33,9 +24,6 @@ class SampleStats
     /** Add one sample. */
     void add(double value);
 
-    /** Add many samples. */
-    void add(const std::vector<double> &values);
-
     /**
      * Absorb every sample of @p other, so percentiles afterwards are
      * order statistics of the union — how per-replica latency
@@ -51,10 +39,14 @@ class SampleStats
     std::size_t count() const { return samples_.size(); }
     bool empty() const { return samples_.empty(); }
 
+    /**
+     * Mean of the samples, summed in insertion order (each merged
+     * set contributes its own sum), so percentile queries, which
+     * sort the samples in place, never change it.
+     */
     double mean() const;
     double min() const;
     double max() const;
-    double stddev() const;
 
     /**
      * Percentile in [0, 100] via linear interpolation between order
@@ -73,6 +65,7 @@ class SampleStats
     void ensureSorted() const;
 
     std::vector<double> samples_;
+    double sum_ = 0;
     mutable bool sorted_ = true;
 };
 

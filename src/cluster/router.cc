@@ -15,7 +15,6 @@
 #include "serve/instance.hh"
 #include "serve/tracks.hh"
 #include "sim/event_queue.hh"
-#include "sim/serving.hh"
 #include "trace/azure.hh"
 
 namespace lia {
@@ -351,8 +350,8 @@ ClusterRouter::run()
     // (arrivals: seed, shapes: seed + 1) plus session ids from
     // seed + 2 — a single-replica cluster therefore serves exactly
     // the workload ServingEngine would.
-    sim::PoissonProcess arrivals(config_.engine.arrivalRatePerSecond,
-                                 config_.engine.seed);
+    trace::PoissonProcess arrivals(
+        config_.engine.arrivalRatePerSecond, config_.engine.seed);
     trace::AzureTraceGenerator gen(config_.engine.trace,
                                    config_.engine.maxContext,
                                    config_.engine.seed + 1);

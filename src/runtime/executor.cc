@@ -95,41 +95,6 @@ CooperativeExecutor::modeledSerialLatency() const
 }
 
 void
-CooperativeExecutor::registerStats(stats::Group &group) const
-{
-    group.formula("xfer.param_bytes",
-                  "parameter bytes moved over the host link",
-                  [this] { return ledger_.bytes(Traffic::Param); });
-    group.formula("xfer.kv_bytes",
-                  "KV-cache bytes moved over the host link",
-                  [this] { return ledger_.bytes(Traffic::Kv); });
-    group.formula("xfer.activation_bytes",
-                  "activation bytes moved over the host link",
-                  [this] { return ledger_.bytes(Traffic::Activation); });
-    group.formula("xfer.count", "host-link transfers issued",
-                  [this] {
-                      return static_cast<double>(
-                          ledger_.transferCount());
-                  });
-    group.formula("xfer.seconds", "modeled host-link busy seconds",
-                  [this] { return ledger_.totalTime(); });
-    group.formula("cpu.busy_seconds", "modeled CPU busy seconds",
-                  [this] { return cpu_.busyTime(); });
-    group.formula("gpu.busy_seconds", "modeled GPU busy seconds",
-                  [this] { return gpu_.busyTime(); });
-    group.formula("cpu.allocated_bytes", "host memory allocated",
-                  [this] { return cpu_.allocatedBytes(); });
-    group.formula("gpu.allocated_bytes", "GPU memory allocated",
-                  [this] { return gpu_.allocatedBytes(); });
-    group.formula("kv.context_tokens", "tokens held in the KV cache",
-                  [this] {
-                      return cache_ ? static_cast<double>(
-                                          cache_->length())
-                                    : 0.0;
-                  });
-}
-
-void
 CooperativeExecutor::resetStats()
 {
     ledger_.reset();

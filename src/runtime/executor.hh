@@ -21,7 +21,6 @@
 #include <memory>
 #include <vector>
 
-#include "base/statistics.hh"
 #include "core/policy.hh"
 #include "obs/profiler.hh"
 #include "hw/system.hh"
@@ -179,15 +178,6 @@ class CooperativeExecutor
 
     /** Modeled serial latency: device busy times plus link time. */
     double modeledSerialLatency() const;
-
-    /**
-     * Register live statistics (gem5-style) over this executor's
-     * counters: transfer bytes per traffic class, transfer count,
-     * device busy times, and memory occupancy. Formulas read the
-     * executor's state at dump time, so one registration covers the
-     * whole run. The executor must outlive the group.
-     */
-    void registerStats(stats::Group &group) const;
 
     /** Clear ledger and device busy times (keeps allocations). */
     void resetStats();

@@ -2,8 +2,8 @@
  * @file
  * Configuration of the continuous-batching serving engine.
  *
- * The engine generalises the M/G/1 serving queue (sim/serving.hh) to
- * iteration-level scheduling: requests join and leave the running
+ * The engine is a FIFO serving queue with iteration-level
+ * scheduling: requests join and leave the running
  * batch between engine iterations, and every iteration is priced by
  * the LIA analytical engine at the *current* dynamic batch size. The
  * scheduler policy selects between the Orca-style continuous batcher,

@@ -8,7 +8,6 @@
 #include "serve/backend.hh"
 #include "serve/instance.hh"
 #include "sim/event_queue.hh"
-#include "sim/serving.hh"
 #include "trace/azure.hh"
 #include "trace/sharing.hh"
 
@@ -77,11 +76,11 @@ ServingEngine::run(ExecutionBackend *backend)
     instance.setBackend(backend);
     instance.setPlannerCap(plannerCap_);
 
-    // Draw the arrival sequence and request shapes up front, sharing
-    // the Poisson helper (and its seed convention) with the M/G/1
-    // simulators so equal seeds mean equal workloads.
-    sim::PoissonProcess arrivals(config_.arrivalRatePerSecond,
-                                 config_.seed);
+    // Draw the arrival sequence and request shapes up front, with the
+    // seed convention the cluster router shares (arrivals: seed,
+    // shapes: seed + 1) so equal seeds mean equal workloads.
+    trace::PoissonProcess arrivals(config_.arrivalRatePerSecond,
+                                   config_.seed);
     if (config_.prefix.sharingPools > 0) {
         // Zipfian prompt sharing: same arrival clock and shape stream
         // as the independent path (the pool wrapper draws shapes from

@@ -7,10 +7,10 @@
  * iteration-level scheduler (static / continuous / SLO-aware /
  * preemptive), KV admission with optional CXL spill, chunked prefill,
  * swap transfers on a DDR<->CXL channel, and every iteration priced
- * by the LIA analytical engine at the batch size it actually ran at.
- * This replaces the single-request M/G/1 view (sim/serving.hh) with
+ * by the LIA analytical engine at the batch size it actually ran at:
  * the batch-size-dependent serving model the paper's Fig. 9 policy
- * map implies.
+ * map implies. At maxBatch = 1 it is the B = 1 serial server of the
+ * paper's online scenario.
  */
 
 #ifndef LIA_SERVE_ENGINE_HH

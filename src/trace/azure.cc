@@ -1,6 +1,7 @@
 #include "trace/azure.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "base/logging.hh"
 
@@ -19,6 +20,21 @@ toString(TraceKind kind)
         return "mixed";
     }
     LIA_PANIC("unknown trace kind");
+}
+
+PoissonProcess::PoissonProcess(double rate_per_second,
+                               std::uint64_t seed)
+    : rate_(rate_per_second), rng_(seed)
+{
+    LIA_ASSERT(rate_per_second > 0, "bad arrival rate");
+}
+
+double
+PoissonProcess::next()
+{
+    const double u = std::max(rng_.uniform(), 1e-12);
+    t_ += -std::log(u) / rate_;
+    return t_;
 }
 
 AzureTraceGenerator::AzureTraceGenerator(TraceKind kind,

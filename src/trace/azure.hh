@@ -6,7 +6,7 @@
  *
  * Input lengths are uniformly distributed over [32, model maximum];
  * output lengths concentrate at 32 tokens (code traces) or 256 tokens
- * (conversation traces).
+ * (conversation traces). Arrivals follow a Poisson process.
  */
 
 #ifndef LIA_TRACE_AZURE_HH
@@ -62,6 +62,26 @@ class AzureTraceGenerator
   private:
     TraceKind kind_;
     std::int64_t maxContext_;
+    Rng rng_;
+};
+
+/**
+ * Deterministic Poisson arrival process: exponential inter-arrival
+ * gaps drawn from an owned Rng. The serving engine and the cluster
+ * router draw from it with the same seed convention, so equal seeds
+ * mean equal arrival sequences.
+ */
+class PoissonProcess
+{
+  public:
+    PoissonProcess(double rate_per_second, std::uint64_t seed);
+
+    /** Absolute time of the next arrival (monotonically increasing). */
+    double next();
+
+  private:
+    double rate_;
+    double t_ = 0;
     Rng rng_;
 };
 

@@ -73,4 +73,55 @@ TEST(ArgParserTest, LastOccurrenceWins)
     EXPECT_EQ(args.getInt("b", 0), 2);
 }
 
+TEST(ArgParserTest, TypedPositionals)
+{
+    const auto args = parse({"prog", "60", "--x", "y", "-2.5"});
+    EXPECT_EQ(args.positionalInt(0, 0), 60);
+    EXPECT_DOUBLE_EQ(args.positionalDouble(1, 0), -2.5);
+    EXPECT_EQ(args.positionalInt(2, 7), 7);
+    EXPECT_DOUBLE_EQ(args.positionalDouble(5, 1.5), 1.5);
+}
+
+// A value that does not parse completely is a user error: it exits
+// through LIA_FATAL naming the argument instead of reading as a prefix
+// or as 0.
+TEST(ArgParserDeathTest, TrailingGarbageIsFatal)
+{
+    const auto args = parse({"prog", "--batch", "12x", "30y"});
+    EXPECT_EXIT(args.getInt("batch", 0), testing::ExitedWithCode(1),
+                "fatal: --batch expects an integer, got '12x'");
+    EXPECT_EXIT(args.positionalInt(0, 0), testing::ExitedWithCode(1),
+                "fatal: argument 1 expects an integer, got '30y'");
+    const auto dbl = parse({"prog", "--slo=2.5s", "1.5.0"});
+    EXPECT_EXIT(dbl.getDouble("slo", 0), testing::ExitedWithCode(1),
+                "fatal: --slo expects a number, got '2.5s'");
+    EXPECT_EXIT(dbl.positionalDouble(0, 0), testing::ExitedWithCode(1),
+                "fatal: argument 1 expects a number");
+}
+
+TEST(ArgParserDeathTest, NonNumericValueIsFatal)
+{
+    const auto args = parse({"prog", "--batch", "x", "--rate=fast",
+                             "many"});
+    EXPECT_EXIT(args.getInt("batch", 0), testing::ExitedWithCode(1),
+                "fatal: --batch expects an integer, got 'x'");
+    EXPECT_EXIT(args.getDouble("rate", 0), testing::ExitedWithCode(1),
+                "fatal: --rate expects a number, got 'fast'");
+    EXPECT_EXIT(args.positionalDouble(0, 0), testing::ExitedWithCode(1),
+                "fatal: argument 1 expects a number, got 'many'");
+}
+
+TEST(ArgParserDeathTest, OverflowingValueIsFatal)
+{
+    const auto args = parse({"prog", "--batch",
+                             "99999999999999999999", "--rate", "1e999",
+                             "-99999999999999999999"});
+    EXPECT_EXIT(args.getInt("batch", 0), testing::ExitedWithCode(1),
+                "fatal: --batch is out of range");
+    EXPECT_EXIT(args.getDouble("rate", 0), testing::ExitedWithCode(1),
+                "fatal: --rate is out of range");
+    EXPECT_EXIT(args.positionalInt(0, 0), testing::ExitedWithCode(1),
+                "fatal: argument 1 is out of range");
+}
+
 } // namespace

@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the Azure-statistics workload generator.
+ * Tests for the Azure-statistics workload generator and the Poisson
+ * arrival process.
  */
 
 #include <gtest/gtest.h>
@@ -86,6 +87,26 @@ TEST(SweepTest, BatchSweepMatchesEvaluation)
 {
     EXPECT_EQ(standardBatchSweep(),
               (std::vector<std::int64_t>{1, 64, 900}));
+}
+
+TEST(PoissonProcessTest, DeterministicMonotoneAndCalibrated)
+{
+    // The serve:: engine and the cluster router share this generator,
+    // so equal seeds must mean equal arrival sequences.
+    PoissonProcess a(0.5, 42), b(0.5, 42), c(0.5, 43);
+    double prev = 0, sum = 0;
+    bool seeds_differ = false;
+    const int n = 20'000;
+    for (int i = 0; i < n; ++i) {
+        const double t = a.next();
+        EXPECT_DOUBLE_EQ(t, b.next());
+        seeds_differ = seeds_differ || t != c.next();
+        EXPECT_GT(t, prev);
+        sum += t - prev;
+        prev = t;
+    }
+    EXPECT_TRUE(seeds_differ);
+    EXPECT_NEAR(sum / n, 2.0, 0.05);  // mean gap = 1/rate
 }
 
 } // namespace
